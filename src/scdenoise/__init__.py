@@ -1,12 +1,10 @@
 """Score-based denoising of digital constellation symbols over AWGN channels."""
 
 from .channel import (
-    ChannelConfig,
     NoiseSchedule,
     awgn_transmit,
     build_schedule,
     forward_diffuse,
-    match_to_grid,
     snr_to_sigma,
     snr_to_step,
     stream_rng,

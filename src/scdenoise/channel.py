@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "NoiseSchedule",
-    "ChannelConfig",
     "stream_rng",
     "complex_noise",
     "snr_to_sigma",
@@ -21,7 +20,6 @@ __all__ = [
     "build_schedule",
     "forward_diffuse",
     "snr_to_step",
-    "match_to_grid",
     "vp_forward_reference",
 ]
 
@@ -50,18 +48,6 @@ def snr_to_sigma(snr_db: float, power: float = 1.0) -> float:
     if power <= 0:
         raise ValueError("power must be positive")
     return float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """An AWGN channel operating point."""
-
-    snr_db: float
-    power: float = 1.0
-
-    @property
-    def sigma_ch(self) -> float:
-        return snr_to_sigma(self.snr_db, self.power)
 
 
 def awgn_transmit(z: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -121,38 +107,15 @@ def forward_diffuse(
     return z0 + sched.sigma(i) * complex_noise(rng, z0.shape)
 
 
-def snr_to_step(
-    snr_db: float, sched: NoiseSchedule, power: float = 1.0
-) -> tuple[int, float]:
-    """Map a channel SNR onto the schedule.
-
-    Returns (k, sigma_gap): k is the smallest level with sigma_k >= sigma_ch,
-    and sigma_gap = sqrt(sigma_k^2 - sigma_ch^2) is the extra noise std needed
-    to land a received sequence exactly on grid level k.
-    """
+def snr_to_step(snr_db: float, sched: NoiseSchedule, power: float = 1.0) -> int:
+    """Map a channel SNR onto the schedule: the smallest level k with
+    sigma_k >= sigma_ch, so sigma_ch lies in (sigma_{k-1}, sigma_k]."""
     sigma_ch = snr_to_sigma(snr_db, power)
     if sigma_ch > sched.sigma_max:
         raise ValueError(
             f"channel noise {sigma_ch:.4g} exceeds schedule sigma_max {sched.sigma_max:.4g}"
         )
-    k = int(np.searchsorted(sched.sigmas, sigma_ch, side="left")) + 1
-    gap = float(np.sqrt(max(sched.sigma(k) ** 2 - sigma_ch**2, 0.0)))
-    return k, gap
-
-
-def match_to_grid(
-    z_tilde: np.ndarray, sigma_gap: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Add the noise deficit so the total corruption sits exactly on a grid level.
-
-    Noise-matching (rather than rescaling) preserves the drift-free property.
-    """
-    if sigma_gap < 0:
-        raise ValueError("sigma_gap must be non-negative")
-    z_tilde = np.asarray(z_tilde, dtype=np.complex128)
-    if sigma_gap == 0:
-        return z_tilde.copy()
-    return z_tilde + sigma_gap * complex_noise(rng, z_tilde.shape)
+    return int(np.searchsorted(sched.sigmas, sigma_ch, side="left")) + 1
 
 
 def vp_forward_reference(

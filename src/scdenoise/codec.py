@@ -15,7 +15,7 @@ import numpy as np
 from .channel import NoiseSchedule, forward_diffuse
 from .constellation import ConstellationScheme
 from .errors import DivergenceError
-from .mlp import AdamState, Mlp, adam_step
+from .mlp import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .sampler import SamplerConfig, denoise_from_level
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "save_decoder",
     "load_decoder",
 ]
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,6 @@ class JointTrainConfig:
     steps: int = 2000
     batch_size: int = 64
     learning_rate: float = 1e-3
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     denoise: bool = True  # False trains the raw-noisy-symbol baseline
 
 
@@ -164,14 +160,7 @@ def joint_train(
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite decoder loss at step {step}")
         grads, _ = dec.net.backward(cache, (2.0 / config.batch_size) * resid)
-        adam_step(
-            dec.net.params,
-            grads,
-            state,
-            lr=config.learning_rate,
-            betas=config.adam_betas,
-            eps=config.adam_eps,
-        )
+        adam_step(dec.net.params, grads, state, lr=config.learning_rate)
         trace[step] = (loss, level)
     if not dec.net.all_finite():
         raise DivergenceError("non-finite decoder parameters after training")
@@ -179,28 +168,14 @@ def joint_train(
 
 
 def save_decoder(path: str, dec: DecoderModel) -> None:
-    # Same layout as the score-model checkpoint: layer sizes plus row-major
-    # parameter arrays under a version tag.
-    arrays = {f"w{i}": w for i, w in enumerate(dec.net.weights)}
-    arrays.update({f"b{i}": b for i, b in enumerate(dec.net.biases)})
-    np.savez(
-        path,
-        version=CHECKPOINT_VERSION,
-        kind="decoder",
-        layer_sizes=np.array(dec.net.layer_sizes),
-        **arrays,
-    )
+    save_checkpoint(path, dec.net, kind="decoder")
 
 
 def load_decoder(path: str) -> DecoderModel:
-    with np.load(path, allow_pickle=False) as data:
-        if int(data["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {data['version']}")
-        sizes = [int(s) for s in data["layer_sizes"]]
-        net = Mlp(sizes)
-        net.weights = [data[f"w{i}"].copy() for i in range(len(sizes) - 1)]
-        net.biases = [data[f"b{i}"].copy() for i in range(len(sizes) - 1)]
-        return DecoderModel(net=net)
+    net, kind = load_checkpoint(path, "kind")
+    if kind != "decoder":
+        raise ValueError(f"{path} holds a {kind!r} model, not a decoder")
+    return DecoderModel(net=net)
 
 
 def write_joint_trace(path: str, trace) -> None:

@@ -6,7 +6,7 @@ SNR definition downstream is sample-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +29,10 @@ class ConstellationScheme:
     order: int
     points: np.ndarray  # complex128, shape (M,)
     bit_map: tuple[str, ...]  # length M, each log2(M) chars of '0'/'1'
-    avg_power: float = field(default=1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.complex128))
         self.points.setflags(write=False)
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return int(np.log2(self.order))
 
 
 def _gray(k: int) -> int:

@@ -1,7 +1,9 @@
 """Minimal fully-connected network with hand-written reverse-mode gradients and Adam.
 
 Kept deliberately small: tanh hidden layers, linear output, float64 throughout.
-Both the score network and the semantic decoder build on this.
+Both the score network and the semantic decoder build on this, and share its
+checkpoint format: a version tag, the layer sizes, the parameter arrays
+`w{i}`/`b{i}` and one string of model metadata.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Mlp", "AdamState", "adam_step"]
+__all__ = ["Mlp", "AdamState", "adam_step", "save_checkpoint", "load_checkpoint"]
+
+CHECKPOINT_VERSION = 1
 
 
 class Mlp:
@@ -33,13 +37,6 @@ class Mlp:
     @property
     def params(self) -> list[np.ndarray]:
         return self.weights + self.biases
-
-    def set_params(self, params) -> None:
-        n = len(self.weights)
-        for i, p in enumerate(params[:n]):
-            self.weights[i] = np.asarray(p, dtype=float)
-        for i, p in enumerate(params[n:]):
-            self.biases[i] = np.asarray(p, dtype=float)
 
     def forward(self, x: np.ndarray):
         """Returns (output, cache). x has shape (batch, n_in)."""
@@ -121,3 +118,35 @@ def adam_step(
         vhat = v / (1.0 - b2**state.t)
         p -= lr * mhat / (np.sqrt(vhat) + eps)
     return params, state
+
+
+def save_checkpoint(path: str, net: Mlp, **meta: str) -> None:
+    """Write `net` and its string metadata (e.g. head="mean") to an .npz file."""
+    arrays = {f"w{i}": w for i, w in enumerate(net.weights)}
+    arrays.update({f"b{i}": b for i, b in enumerate(net.biases)})
+    np.savez(
+        path,
+        version=CHECKPOINT_VERSION,
+        **meta,
+        layer_sizes=np.array(net.layer_sizes),
+        **arrays,
+    )
+
+
+def load_checkpoint(path: str, meta_key: str) -> tuple[Mlp, str]:
+    """Read a checkpoint written by `save_checkpoint`; returns (net, meta[meta_key]).
+
+    A file without `meta_key` belongs to another kind of model and raises
+    ValueError, as does an unknown version.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        missing = [k for k in ("version", "layer_sizes", meta_key) if k not in data.files]
+        if missing:
+            raise ValueError(f"{path} is not a checkpoint of this kind (no {', '.join(missing)})")
+        if int(data["version"]) != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {data['version']}")
+        sizes = [int(s) for s in data["layer_sizes"]]
+        net = Mlp(sizes)
+        net.weights = [data[f"w{i}"].copy() for i in range(len(sizes) - 1)]
+        net.biases = [data[f"b{i}"].copy() for i in range(len(sizes) - 1)]
+        return net, str(data[meta_key])

@@ -5,9 +5,12 @@ the noisy marginal per symbol is the Gaussian mixture
 
     p_sigma(z) = (1/M) sum_m (1 / (pi sigma^2)) exp(-|z - z_m|^2 / sigma^2),
 
-which admits closed forms for the score (gradient of log p w.r.t. the real
-coordinates) and the MMSE posterior mean. Symbols are i.i.d., so the
-sequence-level score is the per-symbol score applied elementwise.
+which admits closed forms for the MMSE posterior mean E[z0 | z] (the
+posterior-weighted mean of the points) and the score (gradient of log p w.r.t.
+the real coordinates). The score is derived from the posterior mean by
+Tweedie's formula, score = (2/sigma^2) (E[z0 | z] - z), so both share one
+pass over the posterior weights. Symbols are i.i.d., so the sequence-level
+score is the per-symbol score applied elementwise.
 """
 
 from __future__ import annotations
@@ -62,17 +65,17 @@ def posterior_weights(z: np.ndarray, sigma: float, scheme: ConstellationScheme) 
 
 
 def mixture_score(z: np.ndarray, sigma: float, scheme: ConstellationScheme) -> np.ndarray:
-    """Exact score: (2/sigma^2) sum_m w_m(z) (z_m - z), as a complex (re, im) pair."""
+    """Exact score as a complex (re, im) pair, by Tweedie's formula:
+    (2/sigma^2) (E[z0 | z] - z) = (2/sigma^2) sum_m w_m(z) (z_m - z)."""
     z = np.asarray(z, dtype=np.complex128)
-    w = posterior_weights(z, sigma, scheme)
-    return (2.0 / sigma**2) * np.sum(w * (scheme.points - z[..., None]), axis=-1)
+    mean = posterior_mean(z, sigma, scheme)
+    return (2.0 / sigma**2) * (mean - z)
 
 
 def posterior_mean(z: np.ndarray, sigma: float, scheme: ConstellationScheme) -> np.ndarray:
     """MMSE estimate E[z0 | z]: the posterior-weighted mean of the points.
 
-    Equals z + (sigma^2/2) * mixture_score(z, sigma) by Tweedie's identity,
-    but is computed directly from the weights.
+    `mixture_score` is computed from it (Tweedie's formula).
     """
     w = posterior_weights(z, sigma, scheme)
     return np.sum(w * scheme.points, axis=-1)

@@ -14,8 +14,11 @@ distribution of z_i given the sequence z_start the loop started from, whose
 score is s(z, sigma_i) + 2 (z_start - z) / (sigma_start^2 - sigma_i^2); a
 corrector on the marginal p_{sigma_i} would drift away from the received
 symbols. With the exact score the loop is therefore a sampler of the
-posterior p(z_0 | z_start). Any (z, sigma) -> score callable works: the exact
-mixture oracle or a trained model.
+posterior p(z_0 | z_start). The loop ends at its lowest noise level sigma
+(sigma_1, or sigma_start if that is lower) with a noise-free Tweedie step,
+z + (sigma^2 / 2) s(z, sigma), which removes the residual noise. Any
+(z, sigma) -> score callable works: the exact mixture oracle or a trained
+model.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ class SamplerConfig:
     schedule: NoiseSchedule
     langevin_steps: int = 2
     step_scale: float = 0.16  # the 'r' controlling xi
-    denoise_final: bool = True
 
     def __post_init__(self):
         if self.langevin_steps < 0:
@@ -116,7 +118,7 @@ def denoise_from_level(
     sigma_level and must lie in (sigma_{level-1}, sigma_level]; the first
     predictor step goes from it straight to sigma_{level-1}. The correctors
     target the distribution of each level given the starting `z`. Ends with
-    an optional noise-free Tweedie step removing the residual noise.
+    the noise-free Tweedie step removing the residual noise.
     `observer(level, sigma, z)` is called on the starting `z` and after each
     completed level, for convergence tracing.
     """
@@ -146,10 +148,9 @@ def denoise_from_level(
         if observer is not None:
             observer(i, sigma_lo, z)
         sigma_hi = sigma_lo
-    if config.denoise_final:
-        z = z + (sigma_hi**2 / 2.0) * score_fn(z, sigma_hi)
-        if observer is not None:
-            observer(0, 0.0, z)
+    z = z + (sigma_hi**2 / 2.0) * score_fn(z, sigma_hi)
+    if observer is not None:
+        observer(0, 0.0, z)
     return z
 
 
@@ -166,6 +167,6 @@ def pc_sample(
     (sigma_{k-1}, sigma_k] holds the channel noise sigma_ch, then anneal down
     with the PC loop starting at sigma_ch itself. No noise is added to bring
     the received symbols onto the grid; that would discard information."""
-    level, _ = snr_to_step(snr_db, config.schedule, power)
+    level = snr_to_step(snr_db, config.schedule, power)
     return denoise_from_level(z_tilde, level, score_fn, config, rng, observer=observer,
                               sigma_start=snr_to_sigma(snr_db, power))

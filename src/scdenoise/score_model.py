@@ -17,14 +17,14 @@ they differ only in conditioning of the regression problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import NoiseSchedule, complex_noise, stream_rng
 from .constellation import ConstellationScheme
 from .errors import DivergenceError
-from .mlp import AdamState, Mlp, adam_step
+from .mlp import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .oracle import mixture_score
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "EVAL_SIGMAS",
 ]
 
-CHECKPOINT_VERSION = 1
 EVAL_SIGMAS = (0.05, 0.3, 1.0, 3.0, 8.0)
 
 
@@ -66,14 +65,9 @@ class DsmConfig:
     hidden: tuple[int, ...] = (64, 64)
     head: str = "mean"
     batch_size: int = 256
-    learning_rate: float = 1e-4
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
+    learning_rate: float = 1e-4  # peak rate, cosine-decayed to 1% of it
     steps: int = 20000
     seed: int = 0
-    # learning_rate is the peak rate; it is cosine-decayed to 1% of the peak
-    # over the run, which keeps the final error stable across seeds.
-    lr_floor_fraction: float = 0.01
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -174,15 +168,9 @@ def train_score(scheme: ConstellationScheme, config: DsmConfig):
         loss, grads = dsm_loss(model, z0, config.schedule, rng)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite DSM loss at step {step}")
+        # The 1% floor keeps the final error stable across seeds.
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.steps))
-        adam_step(
-            net.params,
-            grads,
-            state,
-            lr=max(lr, config.learning_rate * config.lr_floor_fraction),
-            betas=config.adam_betas,
-            eps=config.adam_eps,
-        )
+        adam_step(net.params, grads, state, lr=max(lr, config.learning_rate * 0.01))
         trace[step] = loss
     if not net.all_finite():
         raise DivergenceError("non-finite parameters after training")
@@ -190,29 +178,12 @@ def train_score(scheme: ConstellationScheme, config: DsmConfig):
 
 
 def save_model(path: str, model: MlpScoreModel) -> None:
-    arrays = {}
-    for i, w in enumerate(model.net.weights):
-        arrays[f"w{i}"] = w
-    for i, b in enumerate(model.net.biases):
-        arrays[f"b{i}"] = b
-    np.savez(
-        path,
-        version=CHECKPOINT_VERSION,
-        head=model.head,
-        layer_sizes=np.array(model.net.layer_sizes),
-        **arrays,
-    )
+    save_checkpoint(path, model.net, head=model.head)
 
 
 def load_model(path: str) -> MlpScoreModel:
-    with np.load(path, allow_pickle=False) as data:
-        if int(data["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {data['version']}")
-        sizes = [int(s) for s in data["layer_sizes"]]
-        net = Mlp(sizes)
-        net.weights = [data[f"w{i}"].copy() for i in range(len(sizes) - 1)]
-        net.biases = [data[f"b{i}"].copy() for i in range(len(sizes) - 1)]
-        return MlpScoreModel(net=net, head=str(data["head"]))
+    net, head = load_checkpoint(path, "head")
+    return MlpScoreModel(net=net, head=head)
 
 
 def save_loss_trace(path: str, trace) -> None:

@@ -7,7 +7,7 @@ derived from (master_seed, snr index, trial index).
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +55,6 @@ class ExperimentConfig:
     n_steps: int = 64
     langevin_steps: int = 2
     step_scale: float = 0.16
-    denoise_final: bool = True
     n_symbols: int = 128
     snr_grid: tuple[float, ...] = tuple(float(s) for s in range(-18, 19, 3))
     trials: int = 80
@@ -65,6 +64,17 @@ class ExperimentConfig:
     mmse_trials: int = 200_000
     scatter_beta: float = 0.1
     scatter_trials: int = 2000
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError(f"trials must be at least 1, got {self.trials}")
+        if self.n_symbols < 1:
+            raise ConfigError(f"n_symbols must be at least 1, got {self.n_symbols}")
+        if not self.snr_grid or not self.modes:
+            raise ConfigError("snr_grid and modes must each name at least one value")
+        for mode in self.modes:
+            if mode not in SWEEP_MODES:
+                raise ConfigError(f"unknown sweep mode {mode!r}")
 
     def scheme(self):
         if self.order == 2:
@@ -79,40 +89,32 @@ class ExperimentConfig:
             schedule=self.schedule(),
             langevin_steps=self.langevin_steps,
             step_scale=self.step_scale,
-            denoise_final=self.denoise_final,
         )
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        """Build a config from key=value pairs; string values are parsed by field type."""
+        hints = typing.get_type_hints(cls)
         kwargs = {}
         for key, value in mapping.items():
-            if key not in fields:
+            if key not in hints:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(key, value, fields[key].type)
-        cfg = cls(**kwargs)
-        for mode in cfg.modes:
-            if mode not in SWEEP_MODES:
-                raise ConfigError(f"unknown sweep mode {mode!r}")
-        return cfg
+            kwargs[key] = _coerce(key, value, hints[key])
+        return cls(**kwargs)
 
 
-def _coerce(key: str, value, annotation: str):
+def _coerce(key: str, value, hint):
+    """Parse a string by its field type: tuples are comma-separated, and an
+    empty string sets an optional field to None."""
     if not isinstance(value, str):
         return value
-    if key in ("snr_grid",):
-        return tuple(float(v) for v in value.split(",") if v.strip())
-    if key in ("modes",):
-        return tuple(v.strip() for v in value.split(",") if v.strip())
-    if key in ("checkpoint",):
-        return value or None
-    if key in ("denoise_final",):
-        return value.strip().lower() in ("1", "true", "yes", "on")
+    args = typing.get_args(hint)
     try:
-        if key in ("order", "n_steps", "langevin_steps", "n_symbols", "trials",
-                   "master_seed", "mmse_trials", "scatter_trials"):
-            return int(value)
-        return float(value)
+        if typing.get_origin(hint) is tuple:
+            return tuple(args[0](v.strip()) for v in value.split(",") if v.strip())
+        if type(None) in args:
+            return args[0](value) if value else None
+        return hint(value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 

@@ -8,7 +8,6 @@ from scdenoise.channel import (
     build_schedule,
     complex_noise,
     forward_diffuse,
-    match_to_grid,
     snr_to_sigma,
     snr_to_step,
     stream_rng,
@@ -139,71 +138,37 @@ def test_snr_to_step_on_grid():
     sched = default_schedule()
     # endpoints round-trip exactly through the dB conversion
     for k, snr in ((1, 40.0), (64, -20.0)):
-        level, gap = snr_to_step(snr, sched)
-        assert level == k
-        assert gap == pytest.approx(0.0, abs=1e-9)
+        assert snr_to_step(snr, sched) == k
     # interior levels: the defining bracketing property (the dB round trip can
     # land a float epsilon off the grid value, shifting the exact match)
     for k in (10, 33):
         snr = -20.0 * np.log10(sched.sigma(k))
-        level, gap = snr_to_step(snr, sched)
+        level = snr_to_step(snr, sched)
         sigma_ch = snr_to_sigma(snr)
         assert sched.sigma(level) >= sigma_ch
         assert sched.sigma(level - 1) < sigma_ch
-        assert gap**2 == pytest.approx(sched.sigma(level) ** 2 - sigma_ch**2, abs=1e-12)
 
 
 def test_snr_to_step_below_grid():
     sched = default_schedule()
     snr = 60.0  # sigma_ch = 1e-3, below sigma_1 = 0.01
-    level, gap = snr_to_step(snr, sched)
-    assert level == 1
-    assert gap == pytest.approx(np.sqrt(0.01**2 - 1e-6), rel=1e-9)
+    assert snr_to_step(snr, sched) == 1
 
 
 def test_snr_to_step_minus18():
     sched = default_schedule()
     sigma_ch = snr_to_sigma(-18.0)
-    level, gap = snr_to_step(-18.0, sched)
+    level = snr_to_step(-18.0, sched)
     assert sched.sigma(level) >= sigma_ch
     assert sched.sigma(level - 1) < sigma_ch
-    assert gap == pytest.approx(np.sqrt(sched.sigma(level) ** 2 - sigma_ch**2))
 
 
 def test_snr_to_step_monotone_and_range_error():
     sched = default_schedule()
-    levels = [snr_to_step(s, sched)[0] for s in np.arange(-19.9, 40.0, 0.5)]
+    levels = [snr_to_step(s, sched) for s in np.arange(-19.9, 40.0, 0.5)]
     assert all(a >= b for a, b in zip(levels, levels[1:]))
     with pytest.raises(ValueError):
         snr_to_step(-25.0, sched)  # sigma_ch > sigma_max
-
-
-def test_match_to_grid_identity_and_variance():
-    sched = default_schedule()
-    rng = stream_rng(9, 0)
-    z = complex_noise(rng, 1000)
-    np.testing.assert_array_equal(match_to_grid(z, 0.0, rng), z)
-    with pytest.raises(ValueError):
-        match_to_grid(z, -0.1, rng)
-
-    # transmit at an off-grid SNR, then top up: total variance lands on the grid
-    n = 100_000
-    z0 = np.zeros(n, dtype=complex)
-    snr = -10.0
-    sigma_ch = snr_to_sigma(snr)
-    level, gap = snr_to_step(snr, sched)
-    zt = awgn_transmit(z0, sigma_ch, rng)
-    zg = match_to_grid(zt, gap, rng)
-    assert np.mean(np.abs(zg - z0) ** 2) == pytest.approx(sched.sigma(level) ** 2, rel=0.02)
-
-
-def test_match_to_grid_variance_doubles():
-    rng = stream_rng(13, 0)
-    n = 100_000
-    sigma = 0.7
-    z = sigma * complex_noise(rng, n)
-    out = match_to_grid(z, sigma, rng)
-    assert np.mean(np.abs(out) ** 2) == pytest.approx(2.0 * sigma**2, rel=0.02)
 
 
 def test_vp_reference_shrinks_mean():

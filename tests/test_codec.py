@@ -20,6 +20,7 @@ from scdenoise.constellation import build_square_qam
 from scdenoise.mlp import Mlp
 from scdenoise.oracle import oracle_score_fn
 from scdenoise.sampler import SamplerConfig, pc_sample
+from scdenoise.score_model import MlpScoreModel, save_model
 
 
 def small_setup(order=16):
@@ -134,6 +135,22 @@ def test_decoder_checkpoint_roundtrip(tmp_path):
     loaded = load_decoder(str(path))
     z = np.random.default_rng(4).standard_normal(4) * (1 + 0.5j)
     np.testing.assert_array_equal(decode(z, loaded), decode(z, dec))
+    # files in the original layout, written key by key, still load
+    legacy = tmp_path / "legacy.npz"
+    np.savez(
+        legacy,
+        version=1,
+        kind="decoder",
+        layer_sizes=np.array(dec.net.layer_sizes),
+        **{f"w{i}": w for i, w in enumerate(dec.net.weights)},
+        **{f"b{i}": b for i, b in enumerate(dec.net.biases)},
+    )
+    np.testing.assert_array_equal(decode(z, load_decoder(str(legacy))), decode(z, dec))
+    # a score-model checkpoint is not a decoder
+    score_path = tmp_path / "score.npz"
+    save_model(str(score_path), MlpScoreModel(net=Mlp([3, 4, 2])))
+    with pytest.raises(ValueError):
+        load_decoder(str(score_path))
 
 
 def test_joint_trace_csv(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for metrics, the sweep runner, config parsing, and the CLI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ def test_config_from_mapping_and_validation():
         ExperimentConfig.from_mapping({"trials": "many"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_mapping({"modes": "raw,telepathy"})
+    for empty in ({"trials": "0"}, {"n_symbols": "0"}, {"snr_grid": ""}, {"modes": ""}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_mapping(empty)
+    # every field parses from its default written as a string
+    default = ExperimentConfig()
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(default, f.name)
+        if isinstance(value, tuple):
+            text = ",".join(str(v) for v in value)
+        else:
+            text = "" if value is None else str(value)
+        parsed = getattr(ExperimentConfig.from_mapping({f.name: text}), f.name)
+        assert parsed == value and type(parsed) is type(value), f.name
 
 
 def test_parse_config_file(tmp_path):
@@ -207,6 +222,16 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["joint-train", "--order", "4", "--source-dim", "3",
                  "--out", str(tmp_path / "d.npz")]) == 2
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.npz")]) == 2
+    # a decoder checkpoint handed to a score-model command
+    dec = tmp_path / "dec.npz"
+    assert main(["joint-train", "--order", "4", "--source-dim", "4", "--steps", "1",
+                 "--out", str(dec)]) == 0
+    assert main(["eval", "--checkpoint", str(dec)]) == 2
+    # empty work
+    assert main(["sweep", "--trials", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    for empty in ("n_symbols=0\n", "snr_grid=\n", "modes=\n"):
+        cfg = write_cfg(tmp_path, empty)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
 def test_cli_sweep_byte_identical(tmp_path):

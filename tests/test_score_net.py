@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scdenoise.channel import build_schedule, stream_rng
+from scdenoise.codec import DecoderModel, save_decoder
 from scdenoise.constellation import ConstellationScheme, build_bpsk
 from scdenoise.mlp import Mlp
 from scdenoise.oracle import mixture_score, oracle_score_fn
@@ -160,6 +161,24 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(
         forward_score(loaded, z, 0.9), forward_score(model, z, 0.9)
     )
+    # files in the original layout, written key by key, still load
+    legacy = tmp_path / "legacy.npz"
+    np.savez(
+        legacy,
+        version=1,
+        head=model.head,
+        layer_sizes=np.array(model.net.layer_sizes),
+        **{f"w{i}": w for i, w in enumerate(model.net.weights)},
+        **{f"b{i}": b for i, b in enumerate(model.net.biases)},
+    )
+    np.testing.assert_array_equal(
+        forward_score(load_model(str(legacy)), z, 0.9), forward_score(model, z, 0.9)
+    )
+    # a decoder checkpoint is not a score model
+    dec_path = tmp_path / "dec.npz"
+    save_decoder(str(dec_path), DecoderModel.build(2, 4, rng=stream_rng(0, 0)))
+    with pytest.raises(ValueError):
+        load_model(str(dec_path))
     trace_path = tmp_path / "trace.csv"
     save_loss_trace(str(trace_path), trace)
     lines = trace_path.read_text().strip().split("\n")
