@@ -6,7 +6,7 @@ SNR definition downstream is sample-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,15 +24,33 @@ _SUPPORTED_QAM = (4, 16, 64)
 
 @dataclass(frozen=True)
 class ConstellationScheme:
-    """A modulation alphabet: M complex points plus a Gray bit mapping."""
+    """A modulation alphabet: M complex points plus a Gray bit mapping.
+
+    `axis_levels` is derived from `points`: the sorted unique real parts and
+    the sorted unique imaginary parts, when their product grid is exactly the
+    point set (BPSK, square QAM), and None otherwise.
+    """
 
     order: int
     points: np.ndarray  # complex128, shape (M,)
     bit_map: tuple[str, ...]  # length M, each log2(M) chars of '0'/'1'
+    axis_levels: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=np.complex128))
-        self.points.setflags(write=False)
+        points = np.asarray(self.points, dtype=np.complex128)
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
+        # sets, not np.unique, whose first call imports numpy.ma (about 20 ms)
+        re = np.array(sorted(set(points.real.tolist())))
+        im = np.array(sorted(set(points.imag.tolist())))
+        # distinct points whose parts come from re and im fill the grid iff
+        # there are exactly |re| * |im| of them
+        is_grid = len(set(points.tolist())) == points.size == re.size * im.size
+        for levels in (re, im):
+            levels.setflags(write=False)
+        object.__setattr__(self, "axis_levels", (re, im) if is_grid else None)
 
 
 def _gray(k: int) -> int:
@@ -84,7 +102,8 @@ def demodulate_hard(values: np.ndarray, scheme: ConstellationScheme) -> np.ndarr
     Ties are broken toward the lowest index, which argmin already guarantees.
     """
     values = np.asarray(values, dtype=np.complex128)
-    d2 = np.abs(values[..., None] - scheme.points) ** 2
+    d = values[..., None] - scheme.points
+    d2 = d.real**2 + d.imag**2
     return np.argmin(d2, axis=-1)
 
 

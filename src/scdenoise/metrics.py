@@ -13,7 +13,8 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         raise ValueError("sequence length mismatch")
-    return float(np.mean(np.abs(a - b) ** 2))
+    d = a - b
+    return float(np.mean(d.real**2 + d.imag**2))
 
 
 def ser(sent_idx: np.ndarray, recovered_idx: np.ndarray) -> float:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseSchedule, complex_noise, snr_to_sigma, snr_to_step
+from .errors import DivergenceError
 
 __all__ = [
     "SamplerConfig",
@@ -72,7 +73,7 @@ def predictor_step(
 def _seq_norm(a: np.ndarray) -> np.ndarray:
     # Euclidean norm over the trailing (sequence) axis, viewing each complex
     # symbol as two reals; keeps a batch axis if present.
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=-1, keepdims=True))
+    return np.sqrt(np.sum(a.real**2 + a.imag**2, axis=-1, keepdims=True))
 
 
 def corrector_step(
@@ -120,7 +121,9 @@ def denoise_from_level(
     target the distribution of each level given the starting `z`. Ends with
     the noise-free Tweedie step removing the residual noise.
     `observer(level, sigma, z)` is called on the starting `z` and after each
-    completed level, for convergence tracing.
+    completed level, for convergence tracing. Raises `DivergenceError` if the
+    result is not finite (a non-finite state stays non-finite through the later
+    levels, so the result is checked once, not once per level).
     """
     sched = config.schedule
     if not 1 <= level <= sched.n_steps:
@@ -151,6 +154,8 @@ def denoise_from_level(
     z = z + (sigma_hi**2 / 2.0) * score_fn(z, sigma_hi)
     if observer is not None:
         observer(0, 0.0, z)
+    if not np.all(np.isfinite(z)):
+        raise DivergenceError(f"non-finite sampler output from level {level}")
     return z
 
 

@@ -9,6 +9,8 @@ from scdenoise.channel import complex_noise, snr_to_sigma, stream_rng
 from scdenoise.cli import main
 from scdenoise.errors import ConfigError
 from scdenoise.metrics import mse, ser
+from scdenoise.mlp import Mlp
+from scdenoise.score_model import MlpScoreModel, save_model
 from scdenoise.sweep import (
     ExperimentConfig,
     emit_scatter,
@@ -232,6 +234,16 @@ def test_cli_error_exit_codes(tmp_path):
     for empty in ("n_symbols=0\n", "snr_grid=\n", "modes=\n"):
         cfg = write_cfg(tmp_path, empty)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    # a score model whose output is NaN: the sampler's output never reaches the CSV
+    net = Mlp([3, 8, 2])
+    net.biases[-1][:] = np.nan
+    nan_ckpt = tmp_path / "nan.npz"
+    save_model(str(nan_ckpt), MlpScoreModel(net=net))
+    cfg = write_cfg(tmp_path, "snr_grid=0\nmmse_trials=1000\n")
+    out = tmp_path / "nan.csv"
+    assert main(["sweep", "--config", str(cfg), "--modes", "raw,learned_pc",
+                 "--checkpoint", str(nan_ckpt), "--trials", "1", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_cli_sweep_byte_identical(tmp_path):

@@ -169,3 +169,41 @@ def test_score_field_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "re,im,sigma,score_re,score_im"
     assert len(lines) == 1 + 2 * 25
+
+
+def _rotated_qpsk():
+    points = np.exp(0.25j * np.pi) * build_square_qam(4).points
+    return ConstellationScheme(order=4, points=points, bit_map=("00", "01", "10", "11"))
+
+
+def _equivalence_input(shape):
+    rng = np.random.default_rng(11)
+    if shape == "far":
+        # |z| = 200, kept off the axes: next to an axis the reference's
+        # |z - z_m|^2 ~ 4e4 rounds away the small coordinate, so the general
+        # path, not the per-axis one, would be the inaccurate side
+        theta = 0.25 * np.pi + 0.5 * np.pi * np.arange(8) + rng.uniform(-0.3, 0.3, 8)
+        return 200.0 * np.exp(1j * theta)
+    return 1.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("shape", [(), (64,), (4, 32), "far"])
+@pytest.mark.parametrize("sigma", [0.01, 0.1, 0.5, 5.0, 10.0])
+@pytest.mark.parametrize("name", ["bpsk", "qam4", "qam16", "qam64", "qpsk_rot45"])
+def test_per_axis_path_matches_general_path(name, sigma, shape):
+    scheme = {
+        "bpsk": build_bpsk,
+        "qam4": lambda: build_square_qam(4),
+        "qam16": lambda: build_square_qam(16),
+        "qam64": lambda: build_square_qam(64),
+        "qpsk_rot45": _rotated_qpsk,
+    }[name]()
+    assert (scheme.axis_levels is None) == (name == "qpsk_rot45")
+    z = _equivalence_input(shape)
+    # the general M-point path: posterior weights over all points
+    ref_mean = np.sum(posterior_weights(z, sigma, scheme) * scheme.points, axis=-1)
+    ref_score = (2.0 / sigma**2) * (ref_mean - z)
+    for got, ref in ((posterior_mean(z, sigma, scheme), ref_mean),
+                     (mixture_score(z, sigma, scheme), ref_score)):
+        assert got.shape == np.shape(z)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))

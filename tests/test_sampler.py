@@ -11,6 +11,7 @@ from scdenoise.channel import (
     stream_rng,
 )
 from scdenoise.constellation import ConstellationScheme, build_bpsk, build_square_qam
+from scdenoise.errors import DivergenceError
 from scdenoise.metrics import mse
 from scdenoise.oracle import oracle_score_fn
 from scdenoise.sampler import (
@@ -180,6 +181,17 @@ def test_denoise_from_level_validation_and_observer():
     # initial level, each completed level down to 1, and the final clean step
     assert [lvl for lvl, _ in seen] == [5, 4, 3, 2, 1, 0]
     assert seen[-1][1] == 0.0
+
+
+def test_denoise_from_level_rejects_non_finite_output():
+    config = default_config()
+    z = np.ones((2, 8), dtype=complex)
+    nan_score = lambda z, s: np.full_like(z, np.nan)
+    for level in (1, 5):  # the final step alone, and the full loop
+        with pytest.raises(DivergenceError):
+            denoise_from_level(z, level, nan_score, config, stream_rng(0, 0))
+    with pytest.raises(DivergenceError):
+        pc_sample(z, 0.0, nan_score, config, stream_rng(0, 0))
 
 
 def test_pc_sample_near_noiseless_passthrough():
