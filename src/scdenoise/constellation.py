@@ -26,15 +26,16 @@ _SUPPORTED_QAM = (4, 16, 64)
 class ConstellationScheme:
     """A modulation alphabet: M complex points plus a Gray bit mapping.
 
-    `axis_levels` is derived from `points`: the sorted unique real parts and
-    the sorted unique imaginary parts, when their product grid is exactly the
-    point set (BPSK, square QAM), and None otherwise.
+    `axis_levels` is derived from `points`: the sorted levels shared by the
+    real and the imaginary axis, when the points are exactly the product grid
+    of those levels with themselves (square QAM), and None otherwise (BPSK,
+    any other point set).
     """
 
     order: int
     points: np.ndarray  # complex128, shape (M,)
     bit_map: tuple[str, ...]  # length M, each log2(M) chars of '0'/'1'
-    axis_levels: tuple[np.ndarray, np.ndarray] | None = field(
+    axis_levels: np.ndarray | None = field(
         init=False, repr=False, compare=False
     )
 
@@ -43,14 +44,15 @@ class ConstellationScheme:
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
         # sets, not np.unique, whose first call imports numpy.ma (about 20 ms)
-        re = np.array(sorted(set(points.real.tolist())))
-        im = np.array(sorted(set(points.imag.tolist())))
-        # distinct points whose parts come from re and im fill the grid iff
-        # there are exactly |re| * |im| of them
-        is_grid = len(set(points.tolist())) == points.size == re.size * im.size
-        for levels in (re, im):
+        re = sorted(set(points.real.tolist()))
+        im = sorted(set(points.imag.tolist()))
+        # distinct points whose parts come from the levels fill the grid iff
+        # there are exactly |levels|^2 of them
+        is_grid = re == im and len(set(points.tolist())) == points.size == len(re) ** 2
+        levels = np.array(re) if is_grid else None
+        if levels is not None:
             levels.setflags(write=False)
-        object.__setattr__(self, "axis_levels", (re, im) if is_grid else None)
+        object.__setattr__(self, "axis_levels", levels)
 
 
 def _gray(k: int) -> int:

@@ -12,13 +12,14 @@ Tweedie's formula, score = (2/sigma^2) (E[z0 | z] - z), so both share one
 pass over the posterior weights. Symbols are i.i.d., so the sequence-level
 score is the per-symbol score applied elementwise.
 
-When the points form a product grid (`scheme.axis_levels` is set: BPSK and
-square QAM), the uniform prior and the isotropic noise both factor over the
-real and imaginary axes, and so does the posterior. `posterior_mean` then
-takes the softmax-weighted mean of each axis's levels in real arithmetic:
-2 sqrt(M) real components per symbol instead of M complex ones, with no
-(..., M) temporary. Any other point set takes the general M-point path,
-which also serves as the reference the per-axis path is tested against.
+When the points are the product grid of one set of levels on both axes
+(`scheme.axis_levels` is set: square QAM), the uniform prior and the
+isotropic noise both factor over the real and imaginary axes, and so does
+the posterior. `posterior_mean` then takes the softmax-weighted mean of the
+levels for each coordinate of the interleaved float64 view of z: 2 sqrt(M)
+real components per symbol instead of M complex ones, with no (..., M)
+temporary. Any other point set (BPSK included) takes the general M-point
+path, which also serves as the reference the per-axis path is tested against.
 """
 
 from __future__ import annotations
@@ -81,35 +82,30 @@ def mixture_score(z: np.ndarray, sigma: float, scheme: ConstellationScheme) -> n
     return (2.0 / sigma**2) * (mean - z)
 
 
-def _axis_mean(x: np.ndarray, sigma: float, levels: np.ndarray) -> np.ndarray:
-    # posterior mean of one real axis: softmax of -(x - l_k)^2 / sigma^2 over
-    # the levels l_k, weighted sum and normalizer in one matmul
-    a = x[..., None] - levels
+def posterior_mean(z: np.ndarray, sigma: float, scheme: ConstellationScheme) -> np.ndarray:
+    """MMSE estimate E[z0 | z]: the posterior-weighted mean of the points.
+
+    Per axis when the points form a square grid, else over all M points.
+    `mixture_score` is computed from it (Tweedie's formula).
+    """
+    levels = scheme.axis_levels
+    if levels is None:
+        w = posterior_weights(z, sigma, scheme)
+        return np.sum(w * scheme.points, axis=-1)
+    _check_sigma(sigma)
+    z = np.asarray(z, dtype=np.complex128)
+    # one pass over the interleaved (re, im) float64 view: softmax of
+    # -(x - l_k)^2 / sigma^2 over the levels l_k, then the weighted sum and
+    # the normalizer in one matmul
+    x = np.ascontiguousarray(z).reshape(-1).view(np.float64)
+    a = x[:, None] - levels
     a *= a
     a -= np.min(a, axis=-1, keepdims=True)
     a *= -1.0 / sigma**2
     np.exp(a, out=a)
     num_den = a @ np.stack([levels, np.ones_like(levels)], axis=-1)
-    return num_den[..., 0] / num_den[..., 1]
-
-
-def posterior_mean(z: np.ndarray, sigma: float, scheme: ConstellationScheme) -> np.ndarray:
-    """MMSE estimate E[z0 | z]: the posterior-weighted mean of the points.
-
-    Per axis when the points form a product grid, else over all M points.
-    `mixture_score` is computed from it (Tweedie's formula).
-    """
-    if scheme.axis_levels is None:
-        w = posterior_weights(z, sigma, scheme)
-        return np.sum(w * scheme.points, axis=-1)
-    _check_sigma(sigma)
-    z = np.asarray(z, dtype=np.complex128)
-    re, im = scheme.axis_levels
-    if np.array_equal(re, im):
-        # one pass over the interleaved (re, im) float64 view
-        flat = np.ascontiguousarray(z).reshape(-1).view(np.float64)
-        return _axis_mean(flat, sigma, re).view(np.complex128).reshape(z.shape)
-    return _axis_mean(z.real, sigma, re) + 1j * _axis_mean(z.imag, sigma, im)
+    mean = num_den[:, 0] / num_den[:, 1]
+    return mean.view(np.complex128).reshape(z.shape)
 
 
 def mmse_bound(

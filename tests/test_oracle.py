@@ -198,7 +198,7 @@ def test_per_axis_path_matches_general_path(name, sigma, shape):
         "qam64": lambda: build_square_qam(64),
         "qpsk_rot45": _rotated_qpsk,
     }[name]()
-    assert (scheme.axis_levels is None) == (name == "qpsk_rot45")
+    assert (scheme.axis_levels is None) == (name in ("bpsk", "qpsk_rot45"))
     z = _equivalence_input(shape)
     # the general M-point path: posterior weights over all points
     ref_mean = np.sum(posterior_weights(z, sigma, scheme) * scheme.points, axis=-1)
