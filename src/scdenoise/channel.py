@@ -28,10 +28,14 @@ def stream_rng(master_seed: int, *stream: int) -> np.random.Generator:
     """Independent, reproducible RNG stream derived from (master_seed, stream ids).
 
     Parallel trials each get their own stream, so results do not depend on
-    execution order.
+    execution order. The seed and ids are taken modulo 2**63 (so negative
+    ids, e.g. taken from SNR values, are allowed) and handed to SeedSequence,
+    which splits each into 32-bit words (one word below 2**32, two above),
+    concatenates them and zero-pads the result to 4 words. Two calls give the
+    same generator exactly when their word lists agree after that padding;
+    distinct lists give unrelated generators. So trailing zero ids are
+    ignored within 4 words: `stream_rng(s, a, b, 0)` is `stream_rng(s, a, b)`.
     """
-    # SeedSequence entropy words must be non-negative; wrap negatives (e.g.
-    # stream ids taken from SNR values) into the 63-bit range injectively.
     words = [int(master_seed), *[int(s) for s in stream]]
     return np.random.default_rng([w % (1 << 63) for w in words])
 

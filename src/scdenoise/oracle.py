@@ -94,18 +94,18 @@ def posterior_mean(z: np.ndarray, sigma: float, scheme: ConstellationScheme) -> 
         return np.sum(w * scheme.points, axis=-1)
     _check_sigma(sigma)
     z = np.asarray(z, dtype=np.complex128)
-    # one pass over the interleaved (re, im) float64 view: softmax of
-    # -(x - l_k)^2 / sigma^2 over the levels l_k, then the weighted sum and
-    # the normalizer in one matmul
+    # levels-first over the interleaved (re, im) float64 view x: an (L, 2N)
+    # array of -(l_k - x)^2 / sigma^2, so the softmax shift is L - 1
+    # elementwise minimums over whole rows, and the weighted sum and the
+    # normalizer come from one (2, L) @ (L, 2N) matmul
     x = np.ascontiguousarray(z).reshape(-1).view(np.float64)
-    a = x[:, None] - levels
+    a = levels[:, None] - x
     a *= a
-    a -= np.min(a, axis=-1, keepdims=True)
+    a -= np.min(a, axis=0)
     a *= -1.0 / sigma**2
     np.exp(a, out=a)
-    num_den = a @ np.stack([levels, np.ones_like(levels)], axis=-1)
-    mean = num_den[:, 0] / num_den[:, 1]
-    return mean.view(np.complex128).reshape(z.shape)
+    num, den = np.stack([levels, np.ones_like(levels)]) @ a
+    return (num / den).view(np.complex128).reshape(z.shape)
 
 
 def mmse_bound(

@@ -1,8 +1,11 @@
 """SNR-sweep experiment runner and figure-data emitters.
 
 Output is CSV data, not plots; rows are deterministic (byte-identical) for a
-fixed configuration and master seed because every trial owns an RNG stream
-derived from (master_seed, snr index, trial index).
+fixed configuration and master seed because every random draw comes from an
+RNG stream derived from the master seed: each trial's channel realization
+from (snr index, trial index), and the sampler noise of each sampler mode,
+which denoises all trials of an SNR point as one batch, from (snr index,
+mode index).
 """
 
 from __future__ import annotations
@@ -136,7 +139,9 @@ def parse_config_file(path: str) -> dict:
 
 def run_sweep(config: ExperimentConfig):
     """One SweepRecord per (snr, mode). All modes of a trial share the same
-    channel realization, so estimator comparisons are paired."""
+    channel realization, so estimator comparisons are paired. Each mode
+    denoises the trials of an SNR point as one (trials, n_symbols) array and
+    averages the per-trial MSE and SER in trial order."""
     scheme = config.scheme()
     sampler_cfg = config.sampler_config()
     score_fns = {}
@@ -154,29 +159,36 @@ def run_sweep(config: ExperimentConfig):
         bound = mmse_bound(
             sigma_ch, scheme, config.mmse_trials, stream_rng(config.master_seed, si, 1 << 20)
         )
-        sums = {m: [0.0, 0.0] for m in config.modes}  # mode -> [mse, ser] accumulators
+        rows = []
         for trial in range(config.trials):
             rng_ch = stream_rng(config.master_seed, si, trial, 0)
             idx = rng_ch.integers(0, scheme.order, size=config.n_symbols)
             z0 = modulate(idx, scheme)
-            z_tilde = awgn_transmit(z0, sigma_ch, rng_ch)
-            for mi, mode in enumerate(config.modes):
-                if mode == "raw":
-                    est = z_tilde
-                elif mode == "mmse":
-                    est = posterior_mean(z_tilde, sigma_ch, scheme)
-                else:
-                    rng_mode = stream_rng(config.master_seed, si, trial, 1 + mi)
-                    est = pc_sample(z_tilde, snr_db, score_fns[mode], sampler_cfg, rng_mode)
-                sums[mode][0] += mse(est, z0)
-                sums[mode][1] += ser(idx, demodulate_hard(est, scheme))
-        for mode in config.modes:
+            rows.append((idx, z0, awgn_transmit(z0, sigma_ch, rng_ch)))
+        idx, z0, z_tilde = (np.stack(column) for column in zip(*rows))
+        for mi, mode in enumerate(config.modes):
+            if mode == "raw":
+                est = z_tilde
+            elif mode == "mmse":
+                est = posterior_mean(z_tilde, sigma_ch, scheme)
+            else:
+                # one stream per (SNR, mode) for the whole (trials, n_symbols)
+                # batch; its last id is nonzero, so it never aliases a channel
+                # stream (si, trial, 0) or the floor's (si, 1 << 20)
+                rng_mode = stream_rng(config.master_seed, si, 1 << 21, 1 + mi)
+                est = pc_sample(z_tilde, snr_db, score_fns[mode], sampler_cfg, rng_mode)
+            est_idx = demodulate_hard(est, scheme)
+            # plain += in trial order; sum() compensates from Python 3.12 on
+            mse_sum = ser_sum = 0.0
+            for trial in range(config.trials):
+                mse_sum += mse(est[trial], z0[trial])
+                ser_sum += ser(idx[trial], est_idx[trial])
             records.append(
                 SweepRecord(
                     snr_db=float(snr_db),
                     mode=mode,
-                    mse=sums[mode][0] / config.trials,
-                    ser=sums[mode][1] / config.trials,
+                    mse=mse_sum / config.trials,
+                    ser=ser_sum / config.trials,
                     mmse_bound=bound,
                     trials=config.trials,
                     seed=config.master_seed,

@@ -5,11 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from scdenoise.channel import complex_noise, snr_to_sigma, stream_rng
+from scdenoise.channel import awgn_transmit, complex_noise, snr_to_sigma, stream_rng
 from scdenoise.cli import main
+from scdenoise.constellation import demodulate_hard, modulate
 from scdenoise.errors import ConfigError
 from scdenoise.metrics import mse, ser
 from scdenoise.mlp import Mlp
+from scdenoise.oracle import mmse_bound, oracle_score_fn, posterior_mean
+from scdenoise.sampler import pc_sample
 from scdenoise.score_model import MlpScoreModel, save_model
 from scdenoise.sweep import (
     ExperimentConfig,
@@ -122,6 +125,53 @@ def test_run_sweep_oracle_pc_mode():
     assert records["oracle_pc"].mse >= 0.9 * records["mmse"].mmse_bound
 
 
+def test_run_sweep_matches_per_trial_reference():
+    # the RNG contract: each trial's channel realization from stream
+    # (seed, si, trial, 0), the floor from (seed, si, 1 << 20), and each
+    # sampler mode's noise for the whole (trials, n_symbols) batch from
+    # (seed, si, 1 << 21, 1 + mode index); MSE and SER averaged in trial order
+    cfg = tiny_config(order=16, trials=3, n_symbols=24, snr_grid=(-6.0, 3.0),
+                      modes=("raw", "mmse", "oracle_pc"), master_seed=5)
+    scheme = cfg.scheme()
+    records = iter(run_sweep(cfg))
+    for si, snr_db in enumerate(cfg.snr_grid):
+        sigma = snr_to_sigma(snr_db)
+        bound = mmse_bound(sigma, scheme, cfg.mmse_trials,
+                           stream_rng(cfg.master_seed, si, 1 << 20))
+        sums = {m: [0.0, 0.0] for m in ("raw", "mmse")}
+        rows = []
+        for trial in range(cfg.trials):
+            rng = stream_rng(cfg.master_seed, si, trial, 0)
+            idx = rng.integers(0, scheme.order, size=cfg.n_symbols)
+            z0 = modulate(idx, scheme)
+            z_tilde = awgn_transmit(z0, sigma, rng)
+            rows.append((idx, z0, z_tilde))
+            for mode, est in (("raw", z_tilde), ("mmse", posterior_mean(z_tilde, sigma, scheme))):
+                sums[mode][0] += mse(est, z0)
+                sums[mode][1] += ser(idx, demodulate_hard(est, scheme))
+        for mode in ("raw", "mmse"):
+            rec = next(records)
+            assert (rec.snr_db, rec.mode, rec.mmse_bound) == (snr_db, mode, bound)
+            assert rec.mse == sums[mode][0] / cfg.trials
+            assert rec.ser == sums[mode][1] / cfg.trials
+        idx, z0, z_tilde = (np.stack(c) for c in zip(*rows))
+        rng_pc = stream_rng(cfg.master_seed, si, 1 << 21, 3)
+        est = pc_sample(z_tilde, snr_db, oracle_score_fn(scheme), cfg.sampler_config(), rng_pc)
+        mse_sum = ser_sum = 0.0
+        for trial in range(cfg.trials):
+            mse_sum += mse(est[trial], z0[trial])
+            ser_sum += ser(idx[trial], demodulate_hard(est[trial], scheme))
+        rec = next(records)
+        assert (rec.mode, rec.mmse_bound) == ("oracle_pc", bound)
+        assert (rec.mse, rec.ser) == (mse_sum / cfg.trials, ser_sum / cfg.trials)
+        # the sampler stream aliases no channel stream and not the floor's
+        draw = stream_rng(cfg.master_seed, si, 1 << 21, 3).standard_normal(4)
+        others = [stream_rng(cfg.master_seed, si, trial, 0) for trial in range(cfg.trials)]
+        others.append(stream_rng(cfg.master_seed, si, 1 << 20))
+        for other in others:
+            assert not np.array_equal(draw, other.standard_normal(4))
+
+
 def test_run_sweep_learned_requires_checkpoint():
     cfg = tiny_config(modes=("learned_pc",))
     with pytest.raises(ConfigError):
@@ -164,7 +214,7 @@ def test_emit_scatter_drift_contrast(tmp_path):
     rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
     scdm = np.array([complex(float(r[3]), float(r[4])) for r in rows if r[1] == "scdm"])
     # step 1, sigma tiny: every sample sits essentially on a constellation point
-    from scdenoise.constellation import build_square_qam, demodulate_hard
+    from scdenoise.constellation import build_square_qam
 
     scheme = build_square_qam(4)
     idx = demodulate_hard(scdm, scheme)

@@ -261,6 +261,18 @@ def test_pc_sample_deterministic():
     a = pc_sample(z_tilde, -6.0, oracle_score_fn(scheme), config, stream_rng(8, 2))
     b = pc_sample(z_tilde, -6.0, oracle_score_fn(scheme), config, stream_rng(8, 2))
     np.testing.assert_array_equal(a, b)
+    # rows of a batch are denoised independently: changing row 0's input
+    # leaves rows 1-2 bit-identical under the same seed (the corrector's step
+    # size is per row), which the batched sweep relies on
+    qam = build_square_qam(64)
+    z0 = qam.points[stream_rng(8, 3).integers(0, 64, size=(3, 128))]
+    z_tilde = z0 + snr_to_sigma(3.0) * complex_noise(stream_rng(8, 4), z0.shape)
+    changed = z_tilde.copy()
+    changed[0] = -changed[0] + 0.5
+    a = pc_sample(z_tilde, 3.0, oracle_score_fn(qam), config, stream_rng(8, 5))
+    b = pc_sample(changed, 3.0, oracle_score_fn(qam), config, stream_rng(8, 5))
+    assert not np.array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1:], b[1:])
 
 
 def test_learned_score_tracks_oracle_mse():
