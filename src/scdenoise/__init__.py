@@ -26,7 +26,7 @@ from .oracle import (
     oracle_score_fn,
     posterior_mean,
 )
-from .sampler import SamplerConfig, corrector_step, pc_sample, predictor_step
+from .sampler import SamplerConfig, pc_sample, predictor_step
 from .score_model import (
     DsmConfig,
     MlpScoreModel,

@@ -137,7 +137,7 @@ def joint_train(
 
     Each iteration draws a batch of uniform sources, corrupts the encoded
     symbols to a uniformly random schedule level, optionally denoises with the
-    PC sampler, and descends the decoder's reconstruction loss ||x - x_hat||^2.
+    sampler, and descends the decoder's reconstruction loss ||x - x_hat||^2.
     Returns (decoder, trace) with one (loss, level) row per step.
     """
     d = dec.source_dim

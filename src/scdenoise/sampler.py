@@ -1,24 +1,21 @@
-"""Predictor-Corrector reverse sampler over the annealed noise schedule.
+"""Reverse-diffusion sampler over the annealed noise schedule.
 
 Scores are gradients with respect to (Re z, Im z), and CN(0, sigma^2) noise
-puts sigma^2 / 2 of variance on each real dimension. The predictor is the
-discrete reverse-diffusion step
+puts sigma^2 / 2 of variance on each real dimension. The sampler runs the
+discrete reverse-diffusion predictor
 
     z_i = z_{i+1} + (sigma_{i+1}^2 - sigma_i^2) / 2 * s(z_{i+1}, sigma_{i+1})
-               + sqrt(sigma_{i+1}^2 - sigma_i^2) eps,     eps ~ CN(0, 1).
+               + sqrt(sigma_{i+1}^2 - sigma_i^2) eps,     eps ~ CN(0, 1)
 
-The corrector is a Langevin step z + xi g + sqrt(2 xi) N(0, I) per real
-dimension, with the step size xi = 2 (r ||eps|| / ||g||)^2 computed over the
-full 2n-real view of the sequence. In the reverse loop its target is the
-distribution of z_i given the sequence z_start the loop started from, whose
-score is s(z, sigma_i) + 2 (z_start - z) / (sigma_start^2 - sigma_i^2); a
-corrector on the marginal p_{sigma_i} would drift away from the received
-symbols. With the exact score the loop is therefore a sampler of the
-posterior p(z_0 | z_start). The loop ends at its lowest noise level sigma
-(sigma_1, or sigma_start if that is lower) with a noise-free Tweedie step,
-z + (sigma^2 / 2) s(z, sigma), which removes the residual noise. Any
-(z, sigma) -> score callable works: the exact mixture oracle or a trained
-model.
+from the received symbols' level down to level 1, and ends at its lowest
+noise level sigma (sigma_1, or sigma_start if that is lower) with a
+noise-free Tweedie step, z + (sigma^2 / 2) s(z, sigma), which removes the
+residual noise. A denoise from level k therefore makes exactly k score
+evaluations. With the exact score the chain samples the posterior
+p(z_0 | z_start), up to discretization error. Every operation is
+elementwise, so each symbol's output depends only on its own input and
+noise draws, whatever the batch shape. Any (z, sigma) -> score callable
+works: the exact mixture oracle or a trained model.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .errors import DivergenceError
 __all__ = [
     "SamplerConfig",
     "predictor_step",
-    "corrector_step",
     "denoise_from_level",
     "pc_sample",
 ]
@@ -41,17 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Reverse-sampling knobs: Langevin steps per level and the step-length ratio."""
+    """Reverse-sampling settings: the noise schedule whose levels the
+    predictor steps through."""
 
     schedule: NoiseSchedule
-    langevin_steps: int = 2
-    step_scale: float = 0.16  # the 'r' controlling xi
-
-    def __post_init__(self):
-        if self.langevin_steps < 0:
-            raise ValueError("langevin_steps must be non-negative")
-        if not 0 < self.step_scale < 1:
-            raise ValueError("step_scale must lie in (0, 1)")
 
 
 def predictor_step(
@@ -70,40 +59,6 @@ def predictor_step(
     return z_next + drift + np.sqrt(dvar) * complex_noise(rng, z_next.shape)
 
 
-def _seq_norm(a: np.ndarray) -> np.ndarray:
-    # Euclidean norm over the trailing (sequence) axis, viewing each complex
-    # symbol as two reals; keeps a batch axis if present.
-    return np.sqrt(np.sum(a.real**2 + a.imag**2, axis=-1, keepdims=True))
-
-
-def corrector_step(
-    z: np.ndarray,
-    score_fn,
-    sigma: float,
-    r: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One Langevin correction at a fixed noise level.
-
-    The noise term has variance 2 xi per real dimension, so the step leaves
-    the distribution whose score is `score_fn` invariant up to discretization
-    error. A degenerate score (||g|| = 0) would make the step size undefined;
-    the update is skipped in that case.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    z = np.asarray(z, dtype=np.complex128)
-    eps_scale = complex_noise(rng, z.shape)
-    g = score_fn(z, sigma)
-    g_norm = _seq_norm(g)
-    eps = complex_noise(rng, z.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = 2.0 * (r * _seq_norm(eps_scale) / g_norm) ** 2
-    xi = np.where(g_norm > 0.0, xi, 0.0)
-    # complex_noise has variance 1/2 per real dimension
-    return z + xi * g + np.sqrt(4.0 * xi) * eps
-
-
 def denoise_from_level(
     z: np.ndarray,
     level: int,
@@ -113,13 +68,13 @@ def denoise_from_level(
     observer=None,
     sigma_start: float | None = None,
 ) -> np.ndarray:
-    """Run the PC loop from schedule level `level` down to level 1.
+    """Run the predictor from schedule level `level` down to level 1, then
+    the noise-free Tweedie step removing the residual noise: `level` score
+    evaluations in all.
 
     `z` carries Gaussian noise of std `sigma_start`, which defaults to
     sigma_level and must lie in (sigma_{level-1}, sigma_level]; the first
-    predictor step goes from it straight to sigma_{level-1}. The correctors
-    target the distribution of each level given the starting `z`. Ends with
-    the noise-free Tweedie step removing the residual noise.
+    predictor step goes from it straight to sigma_{level-1}.
     `observer(level, sigma, z)` is called on the starting `z` and after each
     completed level, for convergence tracing. Raises `DivergenceError` if the
     result is not finite (a non-finite state stays non-finite through the later
@@ -132,22 +87,13 @@ def denoise_from_level(
         sigma_start = sched.sigma(level)
     elif not sched.sigma(level - 1) < sigma_start <= sched.sigma(level):
         raise ValueError(f"sigma_start {sigma_start:.4g} outside level {level}'s interval")
-    z_start = np.asarray(z, dtype=np.complex128)
-
-    def conditional_score(z, sigma):
-        # score of p(z_sigma | z_start): the prior score plus the Gaussian
-        # likelihood of z_start given z_sigma
-        return score_fn(z, sigma) + 2.0 * (z_start - z) / (sigma_start**2 - sigma**2)
-
-    z = z_start
+    z = np.asarray(z, dtype=np.complex128)
     if observer is not None:
         observer(level, sigma_start, z)
     sigma_hi = sigma_start
     for i in range(level - 1, 0, -1):
         sigma_lo = sched.sigma(i)
         z = predictor_step(z, score_fn, sigma_hi, sigma_lo, rng)
-        for _ in range(config.langevin_steps):
-            z = corrector_step(z, conditional_score, sigma_lo, config.step_scale, rng)
         if observer is not None:
             observer(i, sigma_lo, z)
         sigma_hi = sigma_lo
@@ -170,8 +116,9 @@ def pc_sample(
 ) -> np.ndarray:
     """Denoise a received sequence: find the schedule level k whose interval
     (sigma_{k-1}, sigma_k] holds the channel noise sigma_ch, then anneal down
-    with the PC loop starting at sigma_ch itself. No noise is added to bring
-    the received symbols onto the grid; that would discard information."""
+    with the reverse sampler starting at sigma_ch itself. No noise is added
+    to bring the received symbols onto the grid; that would discard
+    information."""
     level = snr_to_step(snr_db, config.schedule, power)
     return denoise_from_level(z_tilde, level, score_fn, config, rng, observer=observer,
                               sigma_start=snr_to_sigma(snr_db, power))

@@ -56,8 +56,6 @@ class ExperimentConfig:
     sigma_min: float = 0.01
     sigma_max: float = 10.0
     n_steps: int = 64
-    langevin_steps: int = 2
-    step_scale: float = 0.16
     n_symbols: int = 128
     snr_grid: tuple[float, ...] = tuple(float(s) for s in range(-18, 19, 3))
     trials: int = 80
@@ -88,11 +86,7 @@ class ExperimentConfig:
         return build_schedule(self.sigma_min, self.sigma_max, self.n_steps)
 
     def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            schedule=self.schedule(),
-            langevin_steps=self.langevin_steps,
-            step_scale=self.step_scale,
-        )
+        return SamplerConfig(schedule=self.schedule())
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":

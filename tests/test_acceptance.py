@@ -67,7 +67,7 @@ def schedule():
 def snr_measurements(qam64, schedule):
     """Raw, oracle-denoised, and MMSE-floor MSE per SNR; shared by the
     sampler-optimality and trend checks. 10^4 symbols per SNR point."""
-    config = SamplerConfig(schedule=schedule, langevin_steps=2, step_scale=0.16)
+    config = SamplerConfig(schedule=schedule)
     fn = oracle_score_fn(qam64)
     n = 10_000
     rows = {}

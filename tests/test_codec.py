@@ -102,7 +102,7 @@ def test_decoder_shape_check():
 
 def test_joint_train_decreases_loss_and_is_deterministic():
     scheme, sched, enc = small_setup(16)
-    sampler_cfg = SamplerConfig(schedule=sched, langevin_steps=1)
+    sampler_cfg = SamplerConfig(schedule=sched)
     cfg = JointTrainConfig(steps=300, batch_size=32, learning_rate=2e-3)
     fn = oracle_score_fn(scheme)
 
@@ -173,7 +173,7 @@ def test_pipeline_shapes(order, dim):
     z0 = encode(x, enc)
     z_noisy = forward_diffuse(z0, 4, sched, rng)
     z_hat = pc_sample(z_noisy, 0.0, oracle_score_fn(scheme),
-                      SamplerConfig(schedule=sched, langevin_steps=1), rng)
+                      SamplerConfig(schedule=sched), rng)
     x_hat = decode(z_hat, dec)
     assert z0.shape == (dim // 2,)
     assert x_hat.shape == (dim,)

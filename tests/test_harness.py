@@ -59,10 +59,10 @@ def test_ser_values():
 
 def test_config_from_mapping_and_validation():
     cfg = ExperimentConfig.from_mapping({"order": "16", "snr_grid": "-6,0,6",
-                                         "modes": "raw,mmse", "step_scale": "0.2"})
+                                         "modes": "raw,mmse", "sigma_min": "0.02"})
     assert cfg.order == 16
     assert cfg.snr_grid == (-6.0, 0.0, 6.0)
-    assert cfg.step_scale == pytest.approx(0.2)
+    assert cfg.sigma_min == pytest.approx(0.02)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_mapping({"no_such_key": "1"})
     with pytest.raises(ConfigError):

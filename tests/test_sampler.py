@@ -1,4 +1,4 @@
-"""Tests for the predictor-corrector reverse sampler."""
+"""Tests for the reverse-diffusion sampler."""
 
 import numpy as np
 import pytest
@@ -11,16 +11,11 @@ from scdenoise.channel import (
     stream_rng,
 )
 from scdenoise.constellation import ConstellationScheme, build_bpsk, build_square_qam
-from scdenoise.errors import DivergenceError
+from scdenoise.errors import ConfigError, DivergenceError
 from scdenoise.metrics import mse
 from scdenoise.oracle import oracle_score_fn
-from scdenoise.sampler import (
-    SamplerConfig,
-    corrector_step,
-    denoise_from_level,
-    pc_sample,
-    predictor_step,
-)
+from scdenoise.sampler import SamplerConfig, denoise_from_level, pc_sample, predictor_step
+from scdenoise.sweep import ExperimentConfig
 
 
 class ZeroNoiseRng:
@@ -40,12 +35,14 @@ def single_point_scheme(z1=0.5 + 0.5j):
 
 
 def test_config_validation():
+    # the sampler has no corrector: its former knobs are rejected, not ignored,
+    # so a config file that still sets them fails with ConfigError (exit 2)
     sched = build_schedule(0.01, 10.0, 64)
-    with pytest.raises(ValueError):
-        SamplerConfig(schedule=sched, langevin_steps=-1)
-    for r in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError):
-            SamplerConfig(schedule=sched, step_scale=r)
+    for key, value in (("langevin_steps", 2), ("step_scale", 0.16)):
+        with pytest.raises(TypeError):
+            SamplerConfig(schedule=sched, **{key: value})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_mapping({key: str(value)})
 
 
 def test_predictor_zero_score_zero_noise_is_identity():
@@ -90,81 +87,6 @@ def test_predictor_linear_score_closed_form():
     out = predictor_step(z, score, sigma_next, sigma_cur, rng)
     expected = (1.0 - dvar / sigma_next**2) ** 2 * 1.0 + dvar
     assert np.mean(np.abs(out) ** 2) == pytest.approx(expected, rel=0.02)
-
-
-def test_corrector_zero_score_is_identity():
-    z = np.array([1.0 + 1.0j, 0.2 - 0.1j])
-    out = corrector_step(z, lambda z, s: np.zeros_like(z), 0.5, 0.16, stream_rng(3, 0))
-    np.testing.assert_array_equal(out, z)
-
-
-def test_corrector_sigma_validation():
-    z = np.ones(2, dtype=complex)
-    with pytest.raises(ValueError):
-        corrector_step(z, lambda z, s: z, 0.0, 0.16, stream_rng(0, 0))
-
-
-def test_corrector_step_size_rule():
-    # replay the generator stream to predict the update exactly: the step size
-    # is 2 (r ||eps|| / ||g||)^2 with a fresh eps draw, and for ||eps|| = ||g||
-    # it reduces to 2 r^2 = 0.0512 at r = 0.16; the replayed noise term has
-    # variance 2 xi per real dimension (complex_noise carries 1/2 per dimension)
-    assert 2.0 * 0.16**2 == pytest.approx(0.0512)
-
-    z = np.array([0.1 + 0.2j, -0.3 + 0.4j, 0.0 + 0.0j])
-    g = np.array([1.0 + 0.0j, 0.0 - 2.0j, 0.5 + 0.5j])
-    r = 0.16
-    out = corrector_step(z, lambda z, s: g, 0.7, r, stream_rng(11, 0))
-
-    rng = stream_rng(11, 0)
-    eps_scale = complex_noise(rng, z.shape)
-    eps = complex_noise(rng, z.shape)
-    xi = 2.0 * (r * np.linalg.norm(eps_scale) / np.linalg.norm(g)) ** 2
-    expected = z + xi * g + np.sqrt(4.0 * xi) * eps
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_corrector_converges_to_single_point():
-    scheme = single_point_scheme()
-    z1 = scheme.points[0]
-    rng = stream_rng(4, 0)
-    sigma = 0.5
-    # many short sequences so the norm-based step size stays per-sequence
-    z = z1 + 4.0 * complex_noise(rng, (500, 8))
-    fn = oracle_score_fn(scheme)
-    spread0 = np.mean(np.abs(z - z1) ** 2)
-    for _ in range(2000):
-        z = corrector_step(z, fn, sigma, 0.16, rng)
-    # Langevin drives the population toward the posterior mode; full
-    # equilibration takes longer but the contraction is unambiguous
-    assert abs(np.mean(z) - z1) < 0.05
-    assert np.mean(np.abs(z - z1) ** 2) < 0.1 * spread0
-
-
-def test_corrector_leaves_exact_marginal_invariant():
-    # start from exact draws of p_sigma for 64-QAM: Langevin steps on the exact
-    # score must keep them in distribution. The statistic is the mean squared
-    # distance to the nearest constellation point, against an independent
-    # large draw. Long sequences keep the norm-scaled step size nearly
-    # state-independent.
-    scheme = build_square_qam(64)
-    fn = oracle_score_fn(scheme)
-
-    def nearest_sq_dist(z):
-        return np.mean(np.min(np.abs(z[..., None] - scheme.points) ** 2, axis=-1))
-
-    for k, sigma in enumerate((0.05, 0.5, 1.0)):
-        ref_rng = stream_rng(31, k, 0)
-        n_ref = 100_000
-        z_ref = scheme.points[ref_rng.integers(0, 64, size=n_ref)]
-        exact = nearest_sq_dist(z_ref + sigma * complex_noise(ref_rng, n_ref))
-
-        rng = stream_rng(31, k, 1)
-        shape = (4, 2000)
-        z = scheme.points[rng.integers(0, 64, size=shape)] + sigma * complex_noise(rng, shape)
-        for _ in range(100):
-            z = corrector_step(z, fn, sigma, 0.16, rng)
-        assert nearest_sq_dist(z) / exact == pytest.approx(1.0, abs=0.10), sigma
 
 
 def test_denoise_from_level_validation_and_observer():
@@ -262,8 +184,8 @@ def test_pc_sample_deterministic():
     b = pc_sample(z_tilde, -6.0, oracle_score_fn(scheme), config, stream_rng(8, 2))
     np.testing.assert_array_equal(a, b)
     # rows of a batch are denoised independently: changing row 0's input
-    # leaves rows 1-2 bit-identical under the same seed (the corrector's step
-    # size is per row), which the batched sweep relies on
+    # leaves rows 1-2 bit-identical under the same seed, which the batched
+    # sweep relies on
     qam = build_square_qam(64)
     z0 = qam.points[stream_rng(8, 3).integers(0, 64, size=(3, 128))]
     z_tilde = z0 + snr_to_sigma(3.0) * complex_noise(stream_rng(8, 4), z0.shape)
@@ -273,6 +195,42 @@ def test_pc_sample_deterministic():
     b = pc_sample(changed, 3.0, oracle_score_fn(qam), config, stream_rng(8, 5))
     assert not np.array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1:], b[1:])
+    # every operation is elementwise, so the batch shape does not matter:
+    # 3200 symbols as (400, 8) rows give the flat array's output, reshaped
+    z0 = qam.points[stream_rng(8, 6).integers(0, 64, size=3200)]
+    z_tilde = z0 + snr_to_sigma(0.0) * complex_noise(stream_rng(8, 7), z0.shape)
+    flat = pc_sample(z_tilde, 0.0, oracle_score_fn(qam), config, stream_rng(8, 8))
+    rows = pc_sample(z_tilde.reshape(400, 8), 0.0, oracle_score_fn(qam), config,
+                     stream_rng(8, 8))
+    np.testing.assert_array_equal(rows, flat.reshape(400, 8))
+
+
+def test_score_evaluations_per_level():
+    # the cost unit the traced sampler.score_evals_per_symbol reports: one
+    # score evaluation per level, k - 1 predictor steps plus the Tweedie step
+    scheme = build_square_qam(64)
+    oracle = oracle_score_fn(scheme)
+    evaluated = []
+
+    def counting(z, sigma):
+        evaluated.append(z.size)
+        return oracle(z, sigma)
+
+    config = default_config()
+    z = scheme.points[stream_rng(14, 0).integers(0, 64, size=(2, 16))]
+    for k in (1, 2, 17, 64):
+        evaluated.clear()
+        denoise_from_level(z, k, counting, config, stream_rng(14, k))
+        assert len(evaluated) == k
+    # over the default sweep's 13 SNRs (levels 62 down to 25)
+    defaults = ExperimentConfig()
+    evaluated.clear()
+    n = 128
+    for snr in defaults.snr_grid:
+        z_tilde = z[0, 0] + snr_to_sigma(snr) * complex_noise(stream_rng(14, 100), n)
+        pc_sample(z_tilde, snr, counting, defaults.sampler_config(), stream_rng(14, 101))
+    per_symbol = sum(evaluated) / (n * len(defaults.snr_grid))
+    assert per_symbol == pytest.approx(566 / 13)  # 43.54
 
 
 def test_learned_score_tracks_oracle_mse():
