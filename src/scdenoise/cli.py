@@ -72,7 +72,6 @@ def cmd_train_score(args) -> int:
     dsm = score_model.DsmConfig(
         schedule=config.schedule(),
         hidden=tuple(int(h) for h in args.hidden.split(",")),
-        head=args.head,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         steps=args.steps,
@@ -196,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--learning-rate", type=float, default=5e-3)
     p.add_argument("--hidden", default="64,64")
-    p.add_argument("--head", choices=("mean", "noise"), default="mean")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None, help="loss trace CSV path")
     _add_common(p)

@@ -137,7 +137,8 @@ def load_checkpoint(path: str, meta_key: str) -> tuple[Mlp, str]:
     """Read a checkpoint written by `save_checkpoint`; returns (net, meta[meta_key]).
 
     A file without `meta_key` belongs to another kind of model and raises
-    ValueError, as does an unknown version.
+    ValueError, as do an unknown version and parameter arrays whose shapes do
+    not match `layer_sizes`.
     """
     with np.load(path, allow_pickle=False) as data:
         missing = [k for k in ("version", "layer_sizes", meta_key) if k not in data.files]
@@ -147,6 +148,10 @@ def load_checkpoint(path: str, meta_key: str) -> tuple[Mlp, str]:
             raise ValueError(f"unsupported checkpoint version {data['version']}")
         sizes = [int(s) for s in data["layer_sizes"]]
         net = Mlp(sizes)
-        net.weights = [data[f"w{i}"].copy() for i in range(len(sizes) - 1)]
-        net.biases = [data[f"b{i}"].copy() for i in range(len(sizes) - 1)]
+        for prefix, params in (("w", net.weights), ("b", net.biases)):
+            for i, zero in enumerate(params):
+                key = f"{prefix}{i}"
+                if key not in data.files or data[key].shape != zero.shape:
+                    raise ValueError(f"{path}: {key} does not match layer sizes {sizes}")
+                params[i] = data[key]  # a fresh array, read from the file
         return net, str(data[meta_key])

@@ -1,18 +1,16 @@
-"""Per-symbol score network trained by denoising score matching.
+"""Per-symbol score network trained as a posterior-mean denoiser.
 
-The network is a small tanh MLP over the features (z_re, z_im, log sigma);
+The network D is a small tanh MLP over the features (z_re, z_im, log sigma);
 conditioning on log sigma (rather than a step index) lets one model serve any
-schedule over the same sigma range. Two output parameterizations are
-supported:
+schedule over the same sigma range. D(z, sigma) predicts the clean symbol
+E[z0 | z], which stays bounded near the constellation hull and so
+extrapolates well at small sigma. The score follows by Tweedie's formula,
+s = (2/sigma^2) * (D - z), the way `oracle.mixture_score` follows from
+`oracle.posterior_mean`.
 
-  * "noise": score = (sqrt(2)/sigma) * net(...). The raw output regresses the
-    (unit-variance) scaled noise, the textbook VE setup.
-  * "mean": score = (2/sigma^2) * (net(...) - z). The raw output is the
-    predicted posterior mean, which stays bounded near the constellation hull
-    and therefore extrapolates far better at small sigma. This is the default.
-
-Both parameterizations share the same DSM minimizer (the exact mixture score);
-they differ only in conditioning of the regression problem.
+Training regresses D onto z0. That is denoising score matching: with weight
+sigma^4/4, the penalty on s against the conditional score
+-2 (z_i - z0) / sigma^2 equals |D - z0|^2 exactly (Vincent, 2011).
 """
 
 from __future__ import annotations
@@ -45,31 +43,30 @@ EVAL_SIGMAS = (0.05, 0.3, 1.0, 3.0, 8.0)
 
 @dataclass
 class MlpScoreModel:
-    """A score network: a tanh MLP core plus the output parameterization."""
+    """A score network: a tanh MLP predicting the posterior mean E[z0 | z]."""
 
     net: Mlp
-    head: str = "mean"
 
     def __post_init__(self):
-        if self.head not in ("mean", "noise"):
-            raise ValueError(f"unknown score head {self.head!r}")
         if self.net.layer_sizes[0] != 3 or self.net.layer_sizes[-1] != 2:
             raise ValueError("score net must map 3 features to 2 outputs")
 
 
 @dataclass
 class DsmConfig:
-    """Denoising-score-matching training configuration."""
+    """Score-network training configuration: regression of D onto z0."""
 
     schedule: NoiseSchedule
     hidden: tuple[int, ...] = (64, 64)
-    head: str = "mean"
+    head: str = "mean"  # kept only because the benchmark workloads pass it
     batch_size: int = 256
     learning_rate: float = 1e-4  # peak rate, cosine-decayed to 1% of it
     steps: int = 20000
     seed: int = 0
 
     def __post_init__(self):
+        if self.head != "mean":
+            raise ValueError(f"unknown score head {self.head!r}; only 'mean' exists")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -82,19 +79,12 @@ def _features(z: np.ndarray, sigma) -> np.ndarray:
     return np.stack([z.real, z.imag, logs], axis=-1)
 
 
-def _raw_to_score(raw: np.ndarray, z: np.ndarray, sigma, head: str) -> np.ndarray:
-    out = raw[..., 0] + 1j * raw[..., 1]
-    if head == "noise":
-        return (np.sqrt(2.0) / sigma) * out
-    return (2.0 / sigma**2) * (out - z)
-
-
 def forward_score(model: MlpScoreModel, z: np.ndarray, sigma) -> np.ndarray:
     """Evaluate the learned score at (z, sigma); shape-preserving over z."""
     z = np.asarray(z, dtype=np.complex128)
     raw = model.net(_features(z, sigma))
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), z.shape).ravel()
-    s = _raw_to_score(raw, z.ravel(), sig, model.head)
+    s = (2.0 / sig**2) * (raw[..., 0] + 1j * raw[..., 1] - z.ravel())
     return s.reshape(z.shape)
 
 
@@ -107,27 +97,20 @@ def model_score_fn(model: MlpScoreModel):
     return score
 
 
-def _dsm_weight(sigma: np.ndarray, head: str) -> np.ndarray:
-    # Keeps the per-sample loss (and its gradients) O(1) across the whole
-    # sigma grid for either head; both choices are valid positive weightings
-    # of the same objective.
-    if head == "noise":
-        return sigma**2 / 2.0
-    return sigma**4 / 4.0
-
-
 def dsm_loss(
     model: MlpScoreModel,
     z0_batch: np.ndarray,
     sched: NoiseSchedule,
     rng: np.random.Generator,
 ):
-    """One DSM minibatch: corrupt, regress onto the conditional score.
+    """One DSM minibatch: corrupt z0, regress the denoiser back onto it.
 
     Each sample draws a level i uniformly from {1..N}, corrupts z0 to
-    z_i = z0 + sigma_i * eps, and is penalized
-    lambda(sigma_i) * || s_theta(z_i, sigma_i) + 2 (z_i - z0) / sigma_i^2 ||^2
-    over the two real dimensions. Returns (mean loss, exact gradients).
+    z_i = z0 + sigma_i * eps, and is penalized |D(z_i, sigma_i) - z0|^2 over
+    the two real dimensions. This is the DSM penalty
+    (sigma_i^4 / 4) * || s_theta(z_i, sigma_i) + 2 (z_i - z0) / sigma_i^2 ||^2
+    with s_theta = (2 / sigma_i^2) (D - z_i). Returns (mean loss, exact
+    gradients).
     """
     z0 = np.asarray(z0_batch, dtype=np.complex128).ravel()
     if z0.size == 0:
@@ -136,19 +119,11 @@ def dsm_loss(
     levels = rng.integers(1, sched.n_steps + 1, size=n)
     sigma = sched.sigmas[levels - 1]
     zi = z0 + sigma * complex_noise(rng, n)
-    target = -2.0 * (zi - z0) / sigma**2
 
     raw, cache = model.net.forward(_features(zi, sigma))
-    s = _raw_to_score(raw, zi, sigma, model.head)
-    resid = s - target
-    lam = _dsm_weight(sigma, model.head)
-    loss = float(np.mean(lam * np.abs(resid) ** 2))
-
-    # d loss / d s, then chain through the head scaling to the raw output
-    ds = (2.0 / n) * lam * resid
-    scale = np.sqrt(2.0) / sigma if model.head == "noise" else 2.0 / sigma**2
-    draw = np.stack([ds.real * scale, ds.imag * scale], axis=-1)
-    grads, _ = model.net.backward(cache, draw)
+    resid = raw - np.stack([z0.real, z0.imag], axis=-1)
+    loss = float(np.mean(np.sum(resid**2, axis=-1)))
+    grads, _ = model.net.backward(cache, (2.0 / n) * resid)
     return loss, grads
 
 
@@ -159,7 +134,7 @@ def train_score(scheme: ConstellationScheme, config: DsmConfig):
     """
     rng = stream_rng(config.seed, 0)
     net = Mlp([3, *config.hidden, 2], rng=rng)
-    model = MlpScoreModel(net=net, head=config.head)
+    model = MlpScoreModel(net=net)
     state = AdamState.for_params(net.params)
     trace = np.empty(config.steps)
     for step in range(config.steps):
@@ -178,12 +153,15 @@ def train_score(scheme: ConstellationScheme, config: DsmConfig):
 
 
 def save_model(path: str, model: MlpScoreModel) -> None:
-    save_checkpoint(path, model.net, head=model.head)
+    # head="mean" marks a score checkpoint; earlier files carry it too
+    save_checkpoint(path, model.net, head="mean")
 
 
 def load_model(path: str) -> MlpScoreModel:
     net, head = load_checkpoint(path, "head")
-    return MlpScoreModel(net=net, head=head)
+    if head != "mean":
+        raise ValueError(f"{path}: score head {head!r} is no longer supported")
+    return MlpScoreModel(net=net)
 
 
 def save_loss_trace(path: str, trace) -> None:

@@ -139,26 +139,25 @@ def test_criterion_3_dsm_training(qam64, schedule):
     # analytic gradients against central differences on a small model
     rng0 = stream_rng(13, 0)
     worst_grad = 0.0
-    for head in ("mean", "noise"):
-        net = Mlp([3, 10, 2], rng=rng0)
-        model = MlpScoreModel(net=net, head=head)
-        z0 = qam64.points[rng0.integers(0, 64, size=16)]
-        _, grads = dsm_loss(model, z0, schedule, stream_rng(77, 0))
-        h = 1e-6
-        for p, g in zip(net.params, grads):
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                ix = it.multi_index
-                orig = p[ix]
-                p[ix] = orig + h
-                hi = dsm_loss(model, z0, schedule, stream_rng(77, 0))[0]
-                p[ix] = orig - h
-                lo = dsm_loss(model, z0, schedule, stream_rng(77, 0))[0]
-                p[ix] = orig
-                num = (hi - lo) / (2 * h)
-                denom = max(abs(num), abs(float(g[ix])), 1e-8)
-                worst_grad = max(worst_grad, abs(float(g[ix]) - num) / denom)
-                it.iternext()
+    net = Mlp([3, 10, 2], rng=rng0)
+    model = MlpScoreModel(net=net)
+    z0 = qam64.points[rng0.integers(0, 64, size=16)]
+    _, grads = dsm_loss(model, z0, schedule, stream_rng(77, 0))
+    h = 1e-6
+    for p, g in zip(net.params, grads):
+        it = np.nditer(p, flags=["multi_index"])
+        while not it.finished:
+            ix = it.multi_index
+            orig = p[ix]
+            p[ix] = orig + h
+            hi = dsm_loss(model, z0, schedule, stream_rng(77, 0))[0]
+            p[ix] = orig - h
+            lo = dsm_loss(model, z0, schedule, stream_rng(77, 0))[0]
+            p[ix] = orig
+            num = (hi - lo) / (2 * h)
+            denom = max(abs(num), abs(float(g[ix])), 1e-8)
+            worst_grad = max(worst_grad, abs(float(g[ix]) - num) / denom)
+            it.iternext()
 
     bpsk_cfg = DsmConfig(schedule=schedule, hidden=(64, 64), steps=20_000,
                          learning_rate=5e-3, seed=0)

@@ -279,6 +279,18 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["joint-train", "--order", "4", "--source-dim", "4", "--steps", "1",
                  "--out", str(dec)]) == 0
     assert main(["eval", "--checkpoint", str(dec)]) == 2
+    # a noise-head checkpoint, and one whose b1 does not match its layer sizes
+    net = Mlp([3, 8, 2])
+    arrays = dict(version=1, layer_sizes=np.array([3, 8, 2]),
+                  w0=net.weights[0], w1=net.weights[1], b0=net.biases[0])
+    np.savez(tmp_path / "noise.npz", head="noise", b1=net.biases[1], **arrays)
+    np.savez(tmp_path / "bad_shape.npz", head="mean", b1=np.zeros(1), **arrays)
+    for name in ("noise.npz", "bad_shape.npz"):
+        assert main(["eval", "--checkpoint", str(tmp_path / name)]) == 2
+    # train-score has no --head flag
+    with pytest.raises(SystemExit) as exc:
+        main(["train-score", "--head", "mean", "--out", str(tmp_path / "s.npz")])
+    assert exc.value.code == 2
     # empty work
     assert main(["sweep", "--trials", "0", "--out", str(tmp_path / "x.csv")]) == 2
     for empty in ("n_symbols=0\n", "snr_grid=\n", "modes=\n"):
