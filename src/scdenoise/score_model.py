@@ -74,16 +74,19 @@ class DsmConfig:
 
 
 def _features(z: np.ndarray, sigma) -> np.ndarray:
+    """Network inputs (re, im, log sigma), one row per symbol of the raveled z;
+    sigma is a scalar or already has the raveled z's shape."""
     z = np.asarray(z, dtype=np.complex128).ravel()
     logs = np.broadcast_to(np.log(np.asarray(sigma, dtype=float)), z.shape)
     return np.stack([z.real, z.imag, logs], axis=-1)
 
 
 def forward_score(model: MlpScoreModel, z: np.ndarray, sigma) -> np.ndarray:
-    """Evaluate the learned score at (z, sigma); shape-preserving over z."""
+    """Evaluate the learned score at (z, sigma); shape-preserving over z, with
+    sigma a scalar or any array that broadcasts to z's shape."""
     z = np.asarray(z, dtype=np.complex128)
-    raw = model.net(_features(z, sigma))
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), z.shape).ravel()
+    raw = model.net(_features(z, sig))
     s = (2.0 / sig**2) * (raw[..., 0] + 1j * raw[..., 1] - z.ravel())
     return s.reshape(z.shape)
 

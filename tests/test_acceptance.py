@@ -77,7 +77,7 @@ def snr_measurements(qam64, schedule):
         z0 = qam64.points[rng.integers(0, 64, size=n)]
         z_tilde = awgn_transmit(z0, sigma_ch, rng)
         z_hat = pc_sample(z_tilde, snr, fn, config, stream_rng(2024, si, 1))
-        bound = mmse_bound(sigma_ch, qam64, 200_000, stream_rng(2024, si, 2))
+        bound = mmse_bound(sigma_ch, qam64)
         rows[snr] = {
             "raw": mse(z_tilde, z0),
             "denoised": mse(z_hat, z0),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scdenoise.channel import stream_rng
+from scdenoise.channel import snr_to_sigma
 from scdenoise.constellation import ConstellationScheme, build_bpsk, build_square_qam
 from scdenoise.oracle import (
     dump_score_field_csv,
@@ -15,9 +15,8 @@ from scdenoise.oracle import (
     posterior_weights,
 )
 
-# Monte-Carlo value for the BPSK posterior-mean error at sigma = 1, pinned
-# from an independent numerical-integration run of E[(1 - tanh(2y))^2] with
-# y ~ N(1, 1/2).
+# The BPSK posterior-mean error at sigma = 1, pinned from an independent
+# numerical-integration run of E[(1 - tanh(2y))^2] with y ~ N(1, 1/2).
 BPSK_MMSE_SIGMA1 = 0.231018
 
 
@@ -136,23 +135,22 @@ def test_posterior_mean_values():
 
 
 def test_mmse_bound_limits():
-    scheme = build_bpsk()
-    rng = stream_rng(0, 50)
-    small = mmse_bound(1e-3, scheme, 20_000, rng)
-    assert small < 1e-4
-    big = mmse_bound(1e3, scheme, 20_000, stream_rng(0, 51))
-    assert big == pytest.approx(1.0, rel=0.05)  # prior variance of the alphabet
-    with pytest.raises(ValueError):
-        mmse_bound(1.0, scheme, 0, rng)
+    for scheme in (build_bpsk(), build_square_qam(64)):
+        assert mmse_bound(1e-3, scheme) < 1e-4
+        # far below 0 dB the floor is the linear MMSE, the prior variance 1.0
+        # less its first-order gain, up to O(sigma^-4)
+        sigma = 1e3
+        half = sigma**2 / 2.0  # noise variance per real axis
+        linear = sum(v * half / (v + half) for v in (np.mean(scheme.points.real**2),
+                                                     np.mean(scheme.points.imag**2)))
+        assert abs(mmse_bound(sigma, scheme) - linear) <= 1e-9
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                mmse_bound(bad, scheme)
 
 
 def test_mmse_bound_bpsk_pinned_value():
-    scheme = build_bpsk()
-    vals = [mmse_bound(1.0, scheme, 1_000_000, stream_rng(seed, 0)) for seed in (0, 1)]
-    for v in vals:
-        assert 0.0 < v < 1.0
-        assert v == pytest.approx(BPSK_MMSE_SIGMA1, rel=0.01)
-    assert vals[0] == pytest.approx(vals[1], rel=0.01)
+    assert mmse_bound(1.0, build_bpsk()) == pytest.approx(BPSK_MMSE_SIGMA1, rel=1e-5)
 
 
 def test_oracle_score_fn_matches_direct_call():
@@ -169,6 +167,16 @@ def test_score_field_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "re,im,sigma,score_re,score_im"
     assert len(lines) == 1 + 2 * 25
+
+
+def _scheme(name):
+    return {
+        "bpsk": build_bpsk,
+        "qam4": lambda: build_square_qam(4),
+        "qam16": lambda: build_square_qam(16),
+        "qam64": lambda: build_square_qam(64),
+        "qpsk_rot45": _rotated_qpsk,
+    }[name]()
 
 
 def _rotated_qpsk():
@@ -191,13 +199,7 @@ def _equivalence_input(shape):
 @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.5, 5.0, 10.0])
 @pytest.mark.parametrize("name", ["bpsk", "qam4", "qam16", "qam64", "qpsk_rot45"])
 def test_per_axis_path_matches_general_path(name, sigma, shape):
-    scheme = {
-        "bpsk": build_bpsk,
-        "qam4": lambda: build_square_qam(4),
-        "qam16": lambda: build_square_qam(16),
-        "qam64": lambda: build_square_qam(64),
-        "qpsk_rot45": _rotated_qpsk,
-    }[name]()
+    scheme = _scheme(name)
     assert (scheme.axis_levels is None) == (name in ("bpsk", "qpsk_rot45"))
     z = _equivalence_input(shape)
     # the general M-point path: posterior weights over all points
@@ -207,3 +209,66 @@ def test_per_axis_path_matches_general_path(name, sigma, shape):
                      (mixture_score(z, sigma, scheme), ref_score)):
         assert got.shape == np.shape(z)
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def _general_path(scheme):
+    """The same points with the per-axis path switched off."""
+    out = ConstellationScheme(order=scheme.order, points=scheme.points, bit_map=scheme.bit_map)
+    object.__setattr__(out, "axis_levels", None)
+    return out
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_mmse_bound_per_axis_matches_general_path(order):
+    grid = build_square_qam(order)
+    general = _general_path(grid)
+    for sigma in (0.05, 0.3, 1.0, 3.0, 8.0):
+        assert mmse_bound(sigma, grid) == pytest.approx(mmse_bound(sigma, general), rel=1e-10)
+
+
+def _dense_floor(sigma, levels, axes):
+    """Reference floor: `axes` times the per-axis floor (1/L) sum_k
+    E(l_k - E[l | l_k + u])^2, u ~ N(0, sigma^2 / 2), by the trapezoid rule
+    on a grid that resolves both the noise and the sigma^2 / d wide
+    transitions between levels d apart, out to 13 standard deviations."""
+    s = sigma / np.sqrt(2.0)
+    h = min(s, sigma**2 / np.min(np.diff(levels))) / 40.0
+    u = np.arange(-13.0 * s, 13.0 * s + h, h)
+    density = np.exp(-(u**2) / (2.0 * s * s)) / np.sqrt(2.0 * np.pi * s * s)
+    total = 0.0
+    for level in levels:
+        logits = -((level + u)[:, None] - levels) ** 2 / sigma**2
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        mean = weights @ levels / weights.sum(axis=1)
+        f = (level - mean) ** 2 * density
+        total += h * (f.sum() - 0.5 * (f[0] + f[-1]))
+    return axes * total / len(levels)
+
+
+def _reference_floor(name, sigma):
+    if name == "bpsk":
+        return _dense_floor(sigma, np.array([-1.0, 1.0]), axes=1)
+    # a rotation leaves the isotropic noise unchanged: QPSK's floor is 4-QAM's
+    order = 4 if name == "qpsk_rot45" else int(name[3:])
+    return _dense_floor(sigma, build_square_qam(order).axis_levels, axes=2)
+
+
+@pytest.mark.parametrize("name", ["bpsk", "qam4", "qam16", "qam64", "qpsk_rot45"])
+def test_mmse_bound_matches_dense_reference(name):
+    scheme = _scheme(name)
+    pts = scheme.points
+    spacing = np.min(np.abs(pts[:, None] - pts)[~np.eye(pts.size, dtype=bool)])
+    for snr_db in range(-18, 25, 3):
+        sigma = snr_to_sigma(snr_db)
+        got, ref = mmse_bound(sigma, scheme), _reference_floor(name, sigma)
+        if sigma >= spacing / 4.0:
+            assert got == pytest.approx(ref, rel=1e-6), snr_db
+        else:
+            # the nodes no longer resolve the sigma^2 / d wide transitions
+            # between points d apart; the floor is below 1e-3 here
+            assert abs(got - ref) <= 1e-8, snr_db
+        if name == "qam64" and snr_db <= 18:
+            # every SNR of the default sweep
+            assert got == pytest.approx(ref, rel=1e-10), snr_db
+    # the smallest noise level of the default schedule
+    assert abs(mmse_bound(0.01, scheme) - _reference_floor(name, 0.01)) <= 1e-12

@@ -62,6 +62,19 @@ def test_forward_deterministic_and_shape_preserving():
     assert a.shape == (3, 5)
 
 
+def test_forward_per_symbol_sigma_broadcasts_over_rows():
+    # a per-symbol sigma of shape (n,) for a (rows, n) batch: each row is
+    # scored as its own 1-D call with that sigma vector
+    rng = stream_rng(0, 1)
+    model = MlpScoreModel(net=Mlp([3, 16, 2], rng=rng))
+    z = rng.standard_normal((10, 100)) + 1j * rng.standard_normal((10, 100))
+    sigma = np.geomspace(0.05, 4.0, 100)
+    got = forward_score(model, z, sigma)
+    assert got.shape == z.shape
+    for row, z_row in zip(got, z):
+        np.testing.assert_allclose(row, forward_score(model, z_row, sigma), rtol=1e-12)
+
+
 def test_dsm_loss_zero_residual_is_zero():
     # single-point alphabet and a model that outputs exactly that point: the
     # denoiser then reproduces z0 for every draw
