@@ -16,6 +16,14 @@ __all__ = ["Mlp", "AdamState", "adam_step", "save_checkpoint", "load_checkpoint"
 
 CHECKPOINT_VERSION = 1
 
+# Inference splits a batch so that one layer's activations for a block take
+# about 64 KiB. Arrays that size stay on the malloc heap, below glibc's default
+# 128 KiB mmap and trim thresholds, so repeated calls reuse the same memory.
+# Whole-batch arrays of a few hundred KiB are handed back to the OS and
+# page-faulted in again on the next call whenever they end up at the top of
+# the heap, which depends on what else the process has allocated.
+BLOCK_ACTIVATIONS = 8192
+
 
 class Mlp:
     """Tanh MLP. Parameters live in self.weights / self.biases (lists of arrays)."""
@@ -38,21 +46,41 @@ class Mlp:
     def params(self) -> list[np.ndarray]:
         return self.weights + self.biases
 
+    def _layers(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """Run x through every layer, appending each layer's output to `acts`
+        when given. Each layer works in place on the fresh array its matmul
+        makes, so without `acts` only the current layer's array stays alive."""
+        h = x
+        last = len(self.weights) - 1
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w
+            h += b
+            if l < last:
+                np.tanh(h, out=h)
+            if acts is not None:
+                acts.append(h)
+        return h
+
     def forward(self, x: np.ndarray):
         """Returns (output, cache). x has shape (batch, n_in)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         acts = [x]
-        h = x
-        n_layers = len(self.weights)
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if l < n_layers - 1:
-                h = np.tanh(h)
-            acts.append(h)
-        return h, acts
+        return self._layers(x, acts), acts
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        """Inference: the output of `forward` without keeping its cache.
+
+        Rows run in blocks of `rows` (BLOCK_ACTIVATIONS over the widest layer),
+        the last block taking the remainder, between rows/2 and 3*rows/2 rows.
+        Starting every block on a multiple of `rows` and never leaving a
+        one-row tail (which numpy hands to gemv rather than gemm) keeps the
+        output bit-identical to `forward`'s on the project's networks for
+        batches up to a few thousand rows.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        rows = max(BLOCK_ACTIVATIONS // max(self.layer_sizes), 1)
+        bounds = [k * rows for k in range(max(round(len(x) / rows), 1))] + [len(x)]
+        return np.concatenate([self._layers(x[a:b]) for a, b in zip(bounds, bounds[1:])])
 
     def backward(self, cache, grad_out: np.ndarray):
         """Backpropagate d(loss)/d(output) through the cached forward pass.

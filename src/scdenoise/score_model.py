@@ -73,22 +73,33 @@ class DsmConfig:
             raise ValueError("batch_size must be at least 1")
 
 
-def _features(z: np.ndarray, sigma) -> np.ndarray:
-    """Network inputs (re, im, log sigma), one row per symbol of the raveled z;
-    sigma is a scalar or already has the raveled z's shape."""
-    z = np.asarray(z, dtype=np.complex128).ravel()
-    logs = np.broadcast_to(np.log(np.asarray(sigma, dtype=float)), z.shape)
-    return np.stack([z.real, z.imag, logs], axis=-1)
+def _features(z: np.ndarray, log_sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Network inputs (re, im, log sigma), one row per symbol of the raveled z,
+    and z's (re, im) pairs as an (n, 2) float64 view; z is copied only when it
+    is not already a contiguous complex128 array. log_sigma is a scalar or has
+    the raveled z's shape."""
+    zf = np.ascontiguousarray(z, dtype=np.complex128).reshape(-1).view(np.float64).reshape(-1, 2)
+    feats = np.empty((zf.shape[0], 3))
+    feats[:, :2] = zf
+    feats[:, 2] = log_sigma
+    return feats, zf
 
 
 def forward_score(model: MlpScoreModel, z: np.ndarray, sigma) -> np.ndarray:
     """Evaluate the learned score at (z, sigma); shape-preserving over z, with
     sigma a scalar or any array that broadcasts to z's shape."""
-    z = np.asarray(z, dtype=np.complex128)
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), z.shape).ravel()
-    raw = model.net(_features(z, sig))
-    s = (2.0 / sig**2) * (raw[..., 0] + 1j * raw[..., 1] - z.ravel())
-    return s.reshape(z.shape)
+    shape = np.shape(z)
+    if np.ndim(sigma) == 0:
+        sig = np.float64(sigma)
+        scale = 2.0 / (sig * sig)
+    else:
+        sig = np.broadcast_to(np.asarray(sigma, dtype=float), shape).ravel()
+        scale = (2.0 / sig**2)[:, None]
+    feats, zf = _features(z, np.log(sig))
+    raw = model.net(feats)  # D(z, sigma) as (re, im) pairs
+    raw -= zf
+    raw *= scale
+    return raw.view(np.complex128).reshape(shape)
 
 
 def model_score_fn(model: MlpScoreModel):
@@ -123,8 +134,8 @@ def dsm_loss(
     sigma = sched.sigmas[levels - 1]
     zi = z0 + sigma * complex_noise(rng, n)
 
-    raw, cache = model.net.forward(_features(zi, sigma))
-    resid = raw - np.stack([z0.real, z0.imag], axis=-1)
+    raw, cache = model.net.forward(_features(zi, np.log(sigma))[0])
+    resid = raw - z0.view(np.float64).reshape(-1, 2)
     loss = float(np.mean(np.sum(resid**2, axis=-1)))
     grads, _ = model.net.backward(cache, (2.0 / n) * resid)
     return loss, grads

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scdenoise.mlp import AdamState, Mlp, adam_step
+from scdenoise.mlp import BLOCK_ACTIVATIONS, AdamState, Mlp, adam_step
 
 
 def numerical_grad(f, params, h=1e-6):
@@ -35,6 +35,35 @@ def test_forward_deterministic():
     net = Mlp([4, 16, 3], rng=np.random.default_rng(1))
     x = np.random.default_rng(2).standard_normal((7, 4))
     np.testing.assert_array_equal(net(x), net(x))
+
+
+@pytest.mark.parametrize("sizes", [[4, 3], [4, 16, 8, 3]])
+def test_call_matches_forward_output(sizes):
+    # inference keeps no activation cache but does forward's arithmetic
+    rng = np.random.default_rng(4)
+    net = Mlp(sizes, rng=rng)
+    x = rng.standard_normal((9, 4))
+    x_before = x.copy()
+    np.testing.assert_array_equal(net(x), net.forward(x)[0])
+    assert net(x[0]).shape == (1, 3)  # a 1-D input is one row
+    np.testing.assert_array_equal(net(x[0]), net.forward(x[0])[0])
+    # every call returns its own array, and the input is left as it was
+    a, b = net(x), net(x)
+    assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(x, x_before)
+
+
+@pytest.mark.parametrize("n", [129, 191, 192, 300, 512, 1025])
+def test_blocked_call_matches_forward_output(n):
+    # a 64-wide net runs inference in blocks of BLOCK_ACTIVATIONS // 64 rows;
+    # neither the block edges nor the merged tail may change a bit
+    rng = np.random.default_rng(5)
+    net = Mlp([3, 64, 64, 2], rng=rng)
+    assert BLOCK_ACTIVATIONS // 64 == 128
+    x = rng.standard_normal((n, 3))
+    got = net(x)
+    assert got.shape == (n, 2) and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, net.forward(x)[0])
 
 
 def test_constructor_validation():
