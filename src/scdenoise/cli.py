@@ -13,11 +13,12 @@ import numpy as np
 
 from . import codec, score_model, sweep as sweep_mod
 from .channel import awgn_transmit, snr_to_sigma, stream_rng
-from .constellation import dump_constellation_csv, modulate
+from .constellation import modulate
 from .errors import ConfigError, DivergenceError
 from .metrics import mse
-from .oracle import dump_score_field_csv, oracle_score_fn
+from .oracle import mixture_score, oracle_score_fn
 from .sampler import pc_sample
+from .sweep import write_csv
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,7 +52,12 @@ def _score_fn_for(args, config):
 
 def cmd_constellation(args) -> int:
     config = _experiment_config(args)
-    dump_constellation_csv(config.scheme(), args.out)
+    scheme = config.scheme()
+    rows = (
+        (m, p.real, p.imag, bits)
+        for m, (p, bits) in enumerate(zip(scheme.points, scheme.bit_map))
+    )
+    write_csv(args.out, "index,re,im,bits", rows)
     print(f"wrote {config.order}-point constellation to {args.out}")
     return 0
 
@@ -59,10 +65,7 @@ def cmd_constellation(args) -> int:
 def cmd_schedule(args) -> int:
     config = _experiment_config(args)
     sched = config.schedule()
-    with open(args.out, "w") as fh:
-        fh.write("step,sigma\n")
-        for i, s in enumerate(sched.sigmas, start=1):
-            fh.write(f"{i},{s:.12g}\n")
+    write_csv(args.out, "step,sigma", enumerate(sched.sigmas, start=1))
     print(f"wrote {sched.n_steps}-level schedule to {args.out}")
     return 0
 
@@ -80,7 +83,7 @@ def cmd_train_score(args) -> int:
     model, trace = score_model.train_score(config.scheme(), dsm)
     score_model.save_model(args.out, model)
     if args.trace:
-        score_model.save_loss_trace(args.trace, trace)
+        write_csv(args.trace, "step,loss", enumerate(trace))
     rel = score_model.relative_score_error(score_model.model_score_fn(model), config.scheme())
     print(f"trained {args.steps} steps; final loss {trace[-1]:.4g}; "
           f"relative score error {rel:.4f}; checkpoint {args.out}")
@@ -114,10 +117,7 @@ def cmd_denoise(args) -> int:
         observer = lambda level, sigma, z: rows.append((level, sigma, mse(z, z0)))
     z_hat = pc_sample(z_tilde, args.snr_db, score_fn, sampler_cfg, rng, observer=observer)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write("step,sigma,mse_vs_z0\n")
-            for level, sigma, err in rows:
-                fh.write(f"{level},{sigma:.12g},{err:.12g}\n")
+        write_csv(args.trace, "step,sigma,mse_vs_z0", rows)
     print(f"snr {args.snr_db} dB: raw mse {mse(z_tilde, z0):.6g}, "
           f"denoised mse {mse(z_hat, z0):.6g}")
     return 0
@@ -140,7 +140,16 @@ def cmd_scatter(args) -> int:
 
 def cmd_score_field(args) -> int:
     config = _experiment_config(args)
-    dump_score_field_csv(config.scheme(), score_model.EVAL_SIGMAS, args.out)
+    scheme = config.scheme()
+    axis = np.linspace(-2.0, 2.0, 41)
+    re, im = np.meshgrid(axis, axis, indexing="ij")
+    z = (re + 1j * im).ravel()
+    rows = (
+        (zk.real, zk.imag, sigma, sk.real, sk.imag)
+        for sigma in score_model.EVAL_SIGMAS
+        for zk, sk in zip(z, mixture_score(z, sigma, scheme))
+    )
+    write_csv(args.out, "re,im,sigma,score_re,score_im", rows)
     print(f"wrote score field to {args.out}")
     return 0
 
@@ -165,7 +174,8 @@ def cmd_joint_train(args) -> int:
     )
     codec.save_decoder(args.out, dec)
     if args.trace:
-        codec.write_joint_trace(args.trace, trace)
+        # levels are whole floats, which %.12g writes without a fraction
+        write_csv(args.trace, "step,loss,snr_step", ((i, *row) for i, row in enumerate(trace)))
     print(f"trained decoder for {args.steps} steps; final loss {trace[-1, 0]:.4g}; "
           f"checkpoint {args.out}")
     return 0

@@ -3,18 +3,20 @@
 The encoder maps each pair of source dimensions in [-1, 1] onto one
 constellation symbol by per-axis nearest-level quantization; it is
 deliberately untrainable so the second training stage (decoder adaptation to
-denoised symbols) is isolated from codec learning.
+denoised symbols) is isolated from codec learning. Symbol sequences and the
+decoder's real inputs are the same memory: a sequence of n complex128 symbols
+viewed as 2n float64 values, interleaved (re, im).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import NoiseSchedule, forward_diffuse
 from .constellation import ConstellationScheme
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .mlp import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
 from .sampler import SamplerConfig, denoise_from_level
 
@@ -36,26 +38,34 @@ class QuantizingEncoder:
     """Per-axis quantizer onto the constellation's amplitude levels.
 
     Source values in [-1, 1] are scaled onto the level span; even dimensions
-    feed the in-phase axis, odd dimensions the quadrature axis.
+    feed the in-phase axis, odd dimensions the quadrature axis. The scheme
+    must be a product grid of one set of levels on both axes (square QAM);
+    any other point set raises ConfigError, since per-axis quantization would
+    emit symbols that are not constellation points.
     """
 
     scheme: ConstellationScheme
-    levels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        levels = np.unique(self.scheme.points.real)
-        object.__setattr__(self, "levels", levels)
-        self.levels.setflags(write=False)
+        if self.scheme.axis_levels is None:
+            raise ConfigError(
+                f"the quantizing encoder needs a square-QAM constellation; the "
+                f"{self.scheme.order}-point scheme is not a grid of per-axis levels"
+            )
+
+    @property
+    def levels(self) -> np.ndarray:
+        return self.scheme.axis_levels
 
     @property
     def level_span(self) -> float:
         return float(self.levels.max())
 
 
-def _quantize_axis(enc: QuantizingEncoder, x: np.ndarray) -> np.ndarray:
-    scaled = x * enc.level_span
-    idx = np.argmin(np.abs(scaled[..., None] - enc.levels), axis=-1)
-    return enc.levels[idx]
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """z's symbols as interleaved (re, im) float64 values, last axis doubled;
+    z is copied only when it is not already a contiguous complex128 array."""
+    return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
 
 
 def encode(x: np.ndarray, enc: QuantizingEncoder) -> np.ndarray:
@@ -63,18 +73,15 @@ def encode(x: np.ndarray, enc: QuantizingEncoder) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] % 2 != 0:
         raise ValueError("source dimension must be even (two dims per symbol)")
-    re = _quantize_axis(enc, x[..., 0::2])
-    im = _quantize_axis(enc, x[..., 1::2])
-    return re + 1j * im
+    # each source value onto its nearest level; (re, im) pairs of levels are
+    # the symbols
+    idx = np.argmin(np.abs((x * enc.level_span)[..., None] - enc.levels), axis=-1)
+    return enc.levels[idx].view(np.complex128)
 
 
 def dequantize(z: np.ndarray, enc: QuantizingEncoder) -> np.ndarray:
     """Map symbols back to the source domain (inverse of the level scaling)."""
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = z.real / enc.level_span
-    out[..., 1::2] = z.imag / enc.level_span
-    return out
+    return _pairs(z) / enc.level_span
 
 
 @dataclass
@@ -96,21 +103,13 @@ class DecoderModel:
         return cls(net=Mlp([2 * n_symbols, *hidden, source_dim], rng=rng))
 
 
-def _seq_to_reals(z: np.ndarray) -> np.ndarray:
-    z = np.atleast_2d(np.asarray(z, dtype=np.complex128))
-    out = np.empty((z.shape[0], 2 * z.shape[1]))
-    out[:, 0::2] = z.real
-    out[:, 1::2] = z.imag
-    return out
-
-
 def decode(z_hat: np.ndarray, dec: DecoderModel) -> np.ndarray:
     """Deterministic decoder forward pass, clamped to the source range."""
     z_hat = np.asarray(z_hat, dtype=np.complex128)
     single = z_hat.ndim == 1
     if z_hat.shape[-1] != dec.n_symbols:
         raise ValueError("sequence length does not match decoder input")
-    out = np.clip(dec.net(_seq_to_reals(z_hat)), -1.0, 1.0)
+    out = np.clip(dec.net(_pairs(z_hat)), -1.0, 1.0)
     return out[0] if single else out
 
 
@@ -154,7 +153,7 @@ def joint_train(
             z_in = denoise_from_level(z_noisy, level, score_fn, sampler_config, rng)
         else:
             z_in = z_noisy
-        out, cache = dec.net.forward(_seq_to_reals(z_in))
+        out, cache = dec.net.forward(_pairs(z_in))
         resid = out - x
         loss = float(np.mean(np.sum(resid**2, axis=-1)))
         if not np.isfinite(loss):
@@ -176,10 +175,3 @@ def load_decoder(path: str) -> DecoderModel:
     if kind != "decoder":
         raise ValueError(f"{path} holds a {kind!r} model, not a decoder")
     return DecoderModel(net=net)
-
-
-def write_joint_trace(path: str, trace) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,loss,snr_step\n")
-        for step, (loss, level) in enumerate(trace):
-            fh.write(f"{step},{loss:.12g},{int(level)}\n")

@@ -16,7 +16,6 @@ __all__ = [
     "build_square_qam",
     "modulate",
     "demodulate_hard",
-    "dump_constellation_csv",
 ]
 
 _SUPPORTED_QAM = (4, 16, 64)
@@ -107,10 +106,3 @@ def demodulate_hard(values: np.ndarray, scheme: ConstellationScheme) -> np.ndarr
     d = values[..., None] - scheme.points
     d2 = d.real**2 + d.imag**2
     return np.argmin(d2, axis=-1)
-
-
-def dump_constellation_csv(scheme: ConstellationScheme, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,re,im,bits\n")
-        for m, (p, bits) in enumerate(zip(scheme.points, scheme.bit_map)):
-            fh.write(f"{m},{p.real:.12g},{p.imag:.12g},{bits}\n")

@@ -42,7 +42,6 @@ __all__ = [
     "posterior_mean",
     "mmse_bound",
     "oracle_score_fn",
-    "dump_score_field_csv",
 ]
 
 # Gauss-Hermite order K of the MMSE floor, chosen by measurement against a
@@ -184,26 +183,3 @@ def oracle_score_fn(scheme: ConstellationScheme):
         return mixture_score(z, sigma, scheme)
 
     return score
-
-
-def dump_score_field_csv(
-    scheme: ConstellationScheme,
-    sigmas,
-    path: str,
-    lo: float = -2.0,
-    hi: float = 2.0,
-    n_grid: int = 41,
-) -> None:
-    """Score vector field on a square grid, one row per (re, im, sigma)."""
-    axis = np.linspace(lo, hi, n_grid)
-    re, im = np.meshgrid(axis, axis, indexing="ij")
-    z = (re + 1j * im).ravel()
-    with open(path, "w") as fh:
-        fh.write("re,im,sigma,score_re,score_im\n")
-        for sigma in sigmas:
-            s = mixture_score(z, float(sigma), scheme)
-            for zk, sk in zip(z, s):
-                fh.write(
-                    f"{zk.real:.12g},{zk.imag:.12g},{sigma:.12g},"
-                    f"{sk.real:.12g},{sk.imag:.12g}\n"
-                )

@@ -14,7 +14,9 @@ residual noise. A denoise from level k therefore makes exactly k score
 evaluations. With the exact score the chain samples the posterior
 p(z_0 | z_start), up to discretization error. Every operation is
 elementwise, so each symbol's output depends only on its own input and
-noise draws, whatever the batch shape. Any (z, sigma) -> score callable
+noise draws, whatever the batch shape: bit for bit with the exact score,
+and up to rounding with a learned one, whose matrix products BLAS computes
+with kernels chosen by problem size. Any (z, sigma) -> score callable
 works: the exact mixture oracle or a trained model.
 """
 

@@ -178,13 +178,6 @@ def load_model(path: str) -> MlpScoreModel:
     return MlpScoreModel(net=net)
 
 
-def save_loss_trace(path: str, trace) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,loss\n")
-        for step, loss in enumerate(trace):
-            fh.write(f"{step},{loss:.12g}\n")
-
-
 def relative_score_error(
     score_fn,
     scheme: ConstellationScheme,

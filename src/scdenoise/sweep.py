@@ -1,6 +1,7 @@
 """SNR-sweep experiment runner and figure-data emitters.
 
-Output is CSV data, not plots; rows are deterministic (byte-identical) for a
+Output is CSV data, not plots, and every CSV file the package writes goes
+through `write_csv`. Rows are deterministic (byte-identical) for a
 fixed configuration and master seed because every random draw comes from an
 RNG stream derived from the master seed: each trial's channel realization
 from (snr index, trial index), and the sampler noise of each sampler mode,
@@ -11,7 +12,7 @@ mode index). The MMSE floor is deterministic quadrature and draws nothing.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .metrics import mse, ser
 from .oracle import mmse_bound, oracle_score_fn, posterior_mean
 from .sampler import SamplerConfig, pc_sample
 
-__all__ = ["SweepRecord", "ExperimentConfig", "run_sweep", "emit_scatter", "write_sweep_csv"]
+__all__ = ["SweepRecord", "ExperimentConfig", "run_sweep", "emit_scatter", "write_sweep_csv",
+           "write_csv"]
 
 SWEEP_MODES = ("raw", "mmse", "oracle_pc", "learned_pc")
 
@@ -193,14 +195,20 @@ def run_sweep(config: ExperimentConfig):
     return records
 
 
-def write_sweep_csv(records, path: str) -> None:
+def write_csv(path: str, header: str, rows) -> None:
+    """Write a header line, then one comma-separated line per row. Floats
+    (Python or numpy float64) are written to 12 significant digits, every
+    other value with str()."""
     with open(path, "w") as fh:
-        fh.write("snr_db,mode,mse,ser,mmse_bound,trials,seed\n")
-        for r in records:
-            fh.write(
-                f"{r.snr_db:.12g},{r.mode},{r.mse:.12g},{r.ser:.12g},"
-                f"{r.mmse_bound:.12g},{r.trials},{r.seed}\n"
-            )
+        fh.write(header + "\n")
+        for row in rows:
+            cells = (f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def write_sweep_csv(records, path: str) -> None:
+    header = ",".join(f.name for f in fields(SweepRecord))
+    write_csv(path, header, (astuple(r) for r in records))
 
 
 def emit_scatter(config: ExperimentConfig, step: int, path: str) -> None:
@@ -216,8 +224,9 @@ def emit_scatter(config: ExperimentConfig, step: int, path: str) -> None:
     z0 = modulate(idx, scheme)
     z_scdm = forward_diffuse(z0, step, sched, rng)
     z_vp = vp_forward_reference(z0, step, config.scatter_beta, rng)
-    with open(path, "w") as fh:
-        fh.write("step,mode,trial,re,im\n")
-        for mode, z in (("scdm", z_scdm), ("vp", z_vp)):
-            for t, zk in enumerate(z):
-                fh.write(f"{step},{mode},{t},{zk.real:.12g},{zk.imag:.12g}\n")
+    rows = (
+        (step, mode, t, zk.real, zk.imag)
+        for mode, z in (("scdm", z_scdm), ("vp", z_vp))
+        for t, zk in enumerate(z)
+    )
+    write_csv(path, "step,mode,trial,re,im", rows)

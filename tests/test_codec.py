@@ -14,9 +14,9 @@ from scdenoise.codec import (
     joint_train,
     load_decoder,
     save_decoder,
-    write_joint_trace,
 )
-from scdenoise.constellation import build_square_qam
+from scdenoise.constellation import ConstellationScheme, build_bpsk, build_square_qam
+from scdenoise.errors import ConfigError
 from scdenoise.mlp import Mlp
 from scdenoise.oracle import oracle_score_fn
 from scdenoise.sampler import SamplerConfig, pc_sample
@@ -33,6 +33,19 @@ def test_encoder_levels():
     scheme, _, enc = small_setup(16)
     np.testing.assert_allclose(enc.levels, np.unique(scheme.points.real))
     assert enc.level_span == pytest.approx(np.max(scheme.points.real))
+
+
+def test_encoder_rejects_non_grid_schemes():
+    # per-axis levels of BPSK would emit 1-1j and -1+1j, which are not BPSK
+    # points; QPSK rotated by 45 degrees puts its points on the axes
+    rotated = ConstellationScheme(
+        order=4,
+        points=np.exp(0.25j * np.pi) * build_square_qam(4).points,
+        bit_map=("00", "01", "10", "11"),
+    )
+    for scheme in (build_bpsk(), rotated):
+        with pytest.raises(ConfigError, match="square-QAM"):
+            QuantizingEncoder(scheme)
 
 
 def test_encode_fixed_points():
@@ -151,15 +164,6 @@ def test_decoder_checkpoint_roundtrip(tmp_path):
     save_model(str(score_path), MlpScoreModel(net=Mlp([3, 4, 2])))
     with pytest.raises(ValueError):
         load_decoder(str(score_path))
-
-
-def test_joint_trace_csv(tmp_path):
-    trace = np.array([[0.5, 3], [0.4, 7]])
-    path = tmp_path / "trace.csv"
-    write_joint_trace(str(path), trace)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "step,loss,snr_step"
-    assert lines[1] == "0,0.5,3"
 
 
 @pytest.mark.parametrize("order,dim", [(4, 4), (16, 8), (64, 6)])

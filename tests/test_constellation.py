@@ -7,7 +7,6 @@ from scdenoise.constellation import (
     build_bpsk,
     build_square_qam,
     demodulate_hard,
-    dump_constellation_csv,
     modulate,
 )
 
@@ -104,15 +103,3 @@ def test_demodulate_nearest_and_tiebreak():
     assert demodulate_hard(np.array([-0.1 + 0j]), scheme)[0] == 1
     # exactly equidistant: lowest index wins
     assert demodulate_hard(np.array([0.0 + 0j]), scheme)[0] == 0
-
-
-def test_constellation_csv(tmp_path):
-    scheme = build_square_qam(16)
-    path = tmp_path / "const.csv"
-    dump_constellation_csv(scheme, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "index,re,im,bits"
-    assert len(lines) == 17
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert first[3] == scheme.bit_map[0]

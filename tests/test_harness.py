@@ -19,6 +19,7 @@ from scdenoise.sweep import (
     emit_scatter,
     parse_config_file,
     run_sweep,
+    write_csv,
     write_sweep_csv,
 )
 
@@ -187,6 +188,15 @@ def test_sweep_csv_deterministic(tmp_path):
     assert header == "snr_db,mode,mse,ser,mmse_bound,trials,seed"
 
 
+def test_write_csv_formats_cells(tmp_path):
+    # floats, Python or numpy, to 12 significant digits; everything else by str()
+    path = tmp_path / "cells.csv"
+    rows = [(0.1, np.float64(1.0) / 3, 7, np.int64(-4), "raw"),
+            (2.0, np.float64(1e-20), 0, np.int64(0), "")]
+    write_csv(str(path), "a,b,c,d,e", rows)
+    assert path.read_text() == "a,b,c,d,e\n0.1,0.333333333333,7,-4,raw\n2,1e-20,0,0,\n"
+
+
 def test_emit_scatter(tmp_path):
     cfg = tiny_config(scatter_trials=200)
     path = tmp_path / "scatter.csv"
@@ -272,6 +282,9 @@ def test_cli_error_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["joint-train", "--order", "4", "--source-dim", "3",
                  "--out", str(tmp_path / "d.npz")]) == 2
+    # the quantizing encoder has no per-axis levels for BPSK
+    assert main(["joint-train", "--order", "2", "--steps", "1",
+                 "--out", str(tmp_path / "d.npz")]) == 2
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.npz")]) == 2
     # a decoder checkpoint handed to a score-model command
     dec = tmp_path / "dec.npz"
@@ -314,3 +327,50 @@ def test_cli_sweep_byte_identical(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(p1), "--seed", "7"]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(p2), "--seed", "7"]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Every CSV a subcommand writes: (arguments, the flag naming the CSV, header,
+# data rows, cells of the first data row). Each runs with CLI_CSV_CONFIG.
+CLI_CSV_CONFIG = ("n_steps=16\nscatter_trials=50\ntrials=2\nn_symbols=32\n"
+                  "snr_grid=-6,0\nmodes=raw,mmse\n")
+CLI_CSV_CASES = {
+    "constellation": (["constellation", "--order", "16"], "--out", "index,re,im,bits", 16,
+                      {"index": "0", "re": "-0.948683298051", "bits": "0000"}),
+    "schedule": (["schedule"], "--out", "step,sigma", 16, {"step": "1", "sigma": "0.01"}),
+    "score-field": (["score-field", "--order", "2"], "--out", "re,im,sigma,score_re,score_im",
+                    5 * 41 * 41, {"re": "-2", "im": "-2", "sigma": "0.05"}),
+    "scatter": (["scatter", "--order", "4", "--step", "8"], "--out", "step,mode,trial,re,im",
+                2 * 50, {"step": "8", "mode": "scdm", "trial": "0"}),
+    "sweep": (["sweep", "--order", "4"], "--out", "snr_db,mode,mse,ser,mmse_bound,trials,seed",
+              2 * 2, {"snr_db": "-6", "mode": "raw", "trials": "2", "seed": "0"}),
+    # levels 13 (sigma_13 is the first above the -6 dB channel noise) down to 0
+    "denoise": (["denoise", "--order", "4", "--snr-db", "-6"], "--trace",
+                "step,sigma,mse_vs_z0", 14, {"step": "13"}),
+    "train-score": (["train-score", "--order", "2", "--steps", "30", "--hidden", "8",
+                     "--out", "score.npz"], "--trace", "step,loss", 30, {"step": "0"}),
+    "joint-train": (["joint-train", "--order", "4", "--source-dim", "4", "--steps", "10",
+                     "--batch-size", "8", "--out", "dec.npz"], "--trace",
+                    "step,loss,snr_step", 10, {"step": "0"}),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_CSV_CASES))
+def test_cli_csv_files(tmp_path, monkeypatch, command):
+    argv, flag, header, n_rows, first = CLI_CSV_CASES[command]
+    monkeypatch.chdir(tmp_path)
+    write_cfg(tmp_path, CLI_CSV_CONFIG)
+    assert main([*argv, flag, "out.csv", "--config", "run.cfg"]) == 0
+    lines = (tmp_path / "out.csv").read_text().split("\n")
+    assert lines[0] == header and lines[-1] == ""
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines[1:-1]]
+    assert len(rows) == n_rows
+    assert {key: rows[0][key] for key in first} == first
+    for line, row in zip(lines[1:-1], rows):
+        assert line.count(",") == header.count(",")
+        for key, cell in row.items():
+            # integers are written without a fraction, everything else but
+            # the mode and bit labels parses as a float
+            if key in ("index", "step", "trial", "trials", "seed", "snr_step"):
+                int(cell)
+            elif key not in ("mode", "bits"):
+                float(cell)

@@ -6,7 +6,6 @@ import pytest
 from scdenoise.channel import snr_to_sigma
 from scdenoise.constellation import ConstellationScheme, build_bpsk, build_square_qam
 from scdenoise.oracle import (
-    dump_score_field_csv,
     log_density,
     mixture_score,
     mmse_bound,
@@ -158,15 +157,6 @@ def test_oracle_score_fn_matches_direct_call():
     fn = oracle_score_fn(scheme)
     z = np.array([0.2 - 0.4j, 1.0 + 1.0j])
     np.testing.assert_array_equal(fn(z, 0.7), mixture_score(z, 0.7, scheme))
-
-
-def test_score_field_csv(tmp_path):
-    scheme = build_bpsk()
-    path = tmp_path / "field.csv"
-    dump_score_field_csv(scheme, (0.5, 1.0), str(path), n_grid=5)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "re,im,sigma,score_re,score_im"
-    assert len(lines) == 1 + 2 * 25
 
 
 def _scheme(name):

@@ -16,7 +16,6 @@ from scdenoise.score_model import (
     load_model,
     model_score_fn,
     relative_score_error,
-    save_loss_trace,
     save_model,
     train_score,
 )
@@ -230,7 +229,7 @@ def test_training_reduces_loss():
 
 def test_checkpoint_roundtrip(tmp_path):
     cfg = DsmConfig(schedule=small_schedule(), hidden=(8, 8), steps=50, learning_rate=1e-3, seed=2)
-    model, trace = train_score(build_bpsk(), cfg)
+    model, _ = train_score(build_bpsk(), cfg)
     path = tmp_path / "model.npz"
     save_model(str(path), model)
     loaded = load_model(str(path))
@@ -261,11 +260,6 @@ def test_checkpoint_roundtrip(tmp_path):
     save_decoder(str(dec_path), DecoderModel.build(2, 4, rng=stream_rng(0, 0)))
     with pytest.raises(ValueError):
         load_model(str(dec_path))
-    trace_path = tmp_path / "trace.csv"
-    save_loss_trace(str(trace_path), trace)
-    lines = trace_path.read_text().strip().split("\n")
-    assert lines[0] == "step,loss"
-    assert len(lines) == 51
 
 
 def test_relative_error_of_exact_score_is_zero():
