@@ -2,7 +2,8 @@
 
 Complex noise convention, used everywhere: a unit complex Gaussian CN(0, 1)
 has independent real/imag parts of variance 1/2 each, and SNR(dB) is defined
-against the *total* complex noise variance: SNR = 10*log10(P / sigma^2).
+against the *total* complex noise variance: SNR = 10*log10(P / sigma^2), with
+P = 1 because every constellation scheme has unit average symbol energy.
 """
 
 from __future__ import annotations
@@ -47,11 +48,9 @@ def complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def snr_to_sigma(snr_db: float, power: float = 1.0) -> float:
-    """Channel noise std (total complex) for a given SNR in dB."""
-    if power <= 0:
-        raise ValueError("power must be positive")
-    return float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
+def snr_to_sigma(snr_db: float) -> float:
+    """Channel noise std (total complex) for a given SNR in dB, at P = 1."""
+    return float(np.sqrt(10.0 ** (-snr_db / 10.0)))
 
 
 def awgn_transmit(z: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -66,16 +65,19 @@ def awgn_transmit(z: np.ndarray, sigma: float, rng: np.random.Generator) -> np.n
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Geometric sigma grid sigma_1..sigma_N, with sigma_0 = 0 by convention."""
+    """Increasing sigma grid sigma_1..sigma_N, with sigma_0 = 0 by convention;
+    its largest level `sigma_max` and its length `n_steps` are derived."""
 
-    sigma_min: float
-    sigma_max: float
-    n_steps: int
     sigmas: np.ndarray = field(repr=False)  # shape (N,), sigmas[i-1] == sigma_i
+    sigma_max: float = field(init=False)
+    n_steps: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sigmas", np.asarray(self.sigmas, dtype=float))
-        self.sigmas.setflags(write=False)
+        sigmas = np.asarray(self.sigmas, dtype=float)
+        sigmas.setflags(write=False)
+        object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "sigma_max", float(sigmas[-1]))
+        object.__setattr__(self, "n_steps", sigmas.size)
 
     def sigma(self, i: int) -> float:
         """1-based level lookup; sigma(0) is the noiseless origin."""
@@ -87,14 +89,16 @@ class NoiseSchedule:
 
 
 def build_schedule(sigma_min: float, sigma_max: float, n_steps: int) -> NoiseSchedule:
-    """Geometric grid sigma_i = sigma_min * (sigma_max/sigma_min)^((i-1)/(N-1))."""
+    """Geometric grid sigma_i = sigma_min * (sigma_max/sigma_min)^((i-1)/(N-1)),
+    from sigma_min to sigma_max exactly."""
     if not 0 < sigma_min < sigma_max:
         raise ValueError("need 0 < sigma_min < sigma_max")
     if n_steps < 2:
         raise ValueError("need at least 2 schedule steps")
     expo = np.arange(n_steps) / (n_steps - 1)
     sigmas = sigma_min * (sigma_max / sigma_min) ** expo
-    return NoiseSchedule(float(sigma_min), float(sigma_max), int(n_steps), sigmas)
+    sigmas[-1] = sigma_max  # the product above misses it by an ulp for some inputs
+    return NoiseSchedule(sigmas)
 
 
 def forward_diffuse(
@@ -107,14 +111,13 @@ def forward_diffuse(
     """
     if not 1 <= i <= sched.n_steps:
         raise ValueError(f"diffusion step {i} out of range [1, {sched.n_steps}]")
-    z0 = np.asarray(z0, dtype=np.complex128)
-    return z0 + sched.sigma(i) * complex_noise(rng, z0.shape)
+    return awgn_transmit(z0, sched.sigma(i), rng)
 
 
-def snr_to_step(snr_db: float, sched: NoiseSchedule, power: float = 1.0) -> int:
+def snr_to_step(snr_db: float, sched: NoiseSchedule) -> int:
     """Map a channel SNR onto the schedule: the smallest level k with
     sigma_k >= sigma_ch, so sigma_ch lies in (sigma_{k-1}, sigma_k]."""
-    sigma_ch = snr_to_sigma(snr_db, power)
+    sigma_ch = snr_to_sigma(snr_db)
     if sigma_ch > sched.sigma_max:
         raise ValueError(
             f"channel noise {sigma_ch:.4g} exceeds schedule sigma_max {sched.sigma_max:.4g}"

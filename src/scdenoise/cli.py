@@ -1,7 +1,8 @@
 """Command-line surface tying the simulation pieces together.
 
 Subcommands emit CSV data; plotting is left to external tools. Exit codes:
-0 on success, 2 for configuration errors, 3 for numerical divergence.
+0 on success, 2 for configuration errors and for file-system errors (a
+missing file, a directory given as a file), 3 for numerical divergence.
 """
 
 from __future__ import annotations
@@ -275,7 +276,10 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, ValueError) as exc:
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,6 +122,10 @@ class JointTrainConfig:
     learning_rate: float = 1e-3
     denoise: bool = True  # False trains the raw-noisy-symbol baseline
 
+    def __post_init__(self):
+        if self.batch_size < 1 or self.steps < 1:
+            raise ValueError("batch_size and steps must each be at least 1")
+
 
 def joint_train(
     enc: QuantizingEncoder,
@@ -158,7 +162,7 @@ def joint_train(
         loss = float(np.mean(np.sum(resid**2, axis=-1)))
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite decoder loss at step {step}")
-        grads, _ = dec.net.backward(cache, (2.0 / config.batch_size) * resid)
+        grads = dec.net.backward(cache, (2.0 / config.batch_size) * resid)
         adam_step(dec.net.params, grads, state, lr=config.learning_rate)
         trace[step] = (loss, level)
     if not dec.net.all_finite():

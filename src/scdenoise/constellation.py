@@ -1,7 +1,7 @@
 """Digital modulation alphabets: BPSK and square M-QAM with Gray mapping.
 
 Every scheme is normalized to unit average symbol energy, so the channel
-SNR definition downstream is sample-independent.
+SNR definition downstream takes P = 1 and is sample-independent.
 """
 
 from __future__ import annotations
@@ -25,15 +25,15 @@ _SUPPORTED_QAM = (4, 16, 64)
 class ConstellationScheme:
     """A modulation alphabet: M complex points plus a Gray bit mapping.
 
-    `axis_levels` is derived from `points`: the sorted levels shared by the
-    real and the imaginary axis, when the points are exactly the product grid
-    of those levels with themselves (square QAM), and None otherwise (BPSK,
-    any other point set).
+    `order` (M) and `axis_levels` are derived from `points`. `axis_levels`
+    holds the sorted levels shared by the real and the imaginary axis, when
+    the points are exactly the product grid of those levels with themselves
+    (square QAM), and None otherwise (BPSK, any other point set).
     """
 
-    order: int
     points: np.ndarray  # complex128, shape (M,)
     bit_map: tuple[str, ...]  # length M, each log2(M) chars of '0'/'1'
+    order: int = field(init=False)
     axis_levels: np.ndarray | None = field(
         init=False, repr=False, compare=False
     )
@@ -42,6 +42,7 @@ class ConstellationScheme:
         points = np.asarray(self.points, dtype=np.complex128)
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "order", points.size)
         # sets, not np.unique, whose first call imports numpy.ma (about 20 ms)
         re = sorted(set(points.real.tolist()))
         im = sorted(set(points.imag.tolist()))
@@ -61,7 +62,7 @@ def _gray(k: int) -> int:
 def build_bpsk() -> ConstellationScheme:
     """Antipodal +1/-1 alphabet; the simplest unit-power scheme."""
     points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-    return ConstellationScheme(order=2, points=points, bit_map=("0", "1"))
+    return ConstellationScheme(points=points, bit_map=("0", "1"))
 
 
 def build_square_qam(order: int) -> ConstellationScheme:
@@ -86,7 +87,7 @@ def build_square_qam(order: int) -> ConstellationScheme:
             bi = format(_gray(pi), f"0{bits_per_axis}b")
             bq = format(_gray(pq), f"0{bits_per_axis}b")
             bit_map.append(bi + bq)
-    return ConstellationScheme(order=order, points=points, bit_map=tuple(bit_map))
+    return ConstellationScheme(points=points, bit_map=tuple(bit_map))
 
 
 def modulate(indices: np.ndarray, scheme: ConstellationScheme) -> np.ndarray:

@@ -3,7 +3,9 @@
 Kept deliberately small: tanh hidden layers, linear output, float64 throughout.
 Both the score network and the semantic decoder build on this, and share its
 checkpoint format: a version tag, the layer sizes, the parameter arrays
-`w{i}`/`b{i}` and one string of model metadata.
+`w{i}`/`b{i}` and one string of model metadata. Adam uses the standard
+constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8; only the learning rate
+is set per call.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ class Mlp:
     def backward(self, cache, grad_out: np.ndarray):
         """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-        Returns (grads, grad_x) with grads ordered like self.params.
+        Returns the parameter gradients, ordered like self.params; the
+        gradient with respect to the input is not computed.
         """
         acts = cache
         n_layers = len(self.weights)
@@ -98,8 +101,9 @@ class Mlp:
                 delta = delta * (1.0 - acts[l + 1] ** 2)
             gw[l] = acts[l].T @ delta
             gb[l] = delta.sum(axis=0)
-            delta = delta @ self.weights[l].T
-        return gw + gb, delta
+            if l > 0:
+                delta = delta @ self.weights[l].T
+        return gw + gb
 
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(p)) for p in self.params)
@@ -122,18 +126,11 @@ class AdamState:
         )
 
 
-def adam_step(
-    params,
-    grads,
-    state: AdamState,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-):
+def adam_step(params, grads, state: AdamState, lr: float) -> None:
     """One standard Adam update with bias correction; mutates params and state."""
     if len(params) != len(grads):
         raise ValueError("parameter/gradient count mismatch")
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != np.shape(g):
@@ -145,7 +142,6 @@ def adam_step(
         mhat = m / (1.0 - b1**state.t)
         vhat = v / (1.0 - b2**state.t)
         p -= lr * mhat / (np.sqrt(vhat) + eps)
-    return params, state
 
 
 def save_checkpoint(path: str, net: Mlp, **meta: str) -> None:

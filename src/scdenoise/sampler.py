@@ -113,7 +113,6 @@ def pc_sample(
     score_fn,
     config: SamplerConfig,
     rng: np.random.Generator,
-    power: float = 1.0,
     observer=None,
 ) -> np.ndarray:
     """Denoise a received sequence: find the schedule level k whose interval
@@ -121,6 +120,6 @@ def pc_sample(
     with the reverse sampler starting at sigma_ch itself. No noise is added
     to bring the received symbols onto the grid; that would discard
     information."""
-    level = snr_to_step(snr_db, config.schedule, power)
+    level = snr_to_step(snr_db, config.schedule)
     return denoise_from_level(z_tilde, level, score_fn, config, rng, observer=observer,
-                              sigma_start=snr_to_sigma(snr_db, power))
+                              sigma_start=snr_to_sigma(snr_db))

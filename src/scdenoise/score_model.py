@@ -69,8 +69,8 @@ class DsmConfig:
             raise ValueError(f"unknown score head {self.head!r}; only 'mean' exists")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        if self.batch_size < 1 or self.steps < 1:
+            raise ValueError("batch_size and steps must each be at least 1")
 
 
 def _features(z: np.ndarray, log_sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -85,21 +85,18 @@ def _features(z: np.ndarray, log_sigma) -> tuple[np.ndarray, np.ndarray]:
     return feats, zf
 
 
-def forward_score(model: MlpScoreModel, z: np.ndarray, sigma) -> np.ndarray:
-    """Evaluate the learned score at (z, sigma); shape-preserving over z, with
-    sigma a scalar or any array that broadcasts to z's shape."""
-    shape = np.shape(z)
-    if np.ndim(sigma) == 0:
-        sig = np.float64(sigma)
-        scale = 2.0 / (sig * sig)
-    else:
-        sig = np.broadcast_to(np.asarray(sigma, dtype=float), shape).ravel()
-        scale = (2.0 / sig**2)[:, None]
+def forward_score(model: MlpScoreModel, z: np.ndarray, sigma: float) -> np.ndarray:
+    """Evaluate the learned score at (z, sigma) for one scalar sigma, as the
+    sampler calls it; shape-preserving over z. A non-scalar sigma raises
+    ValueError."""
+    if np.ndim(sigma) != 0:
+        raise ValueError(f"sigma must be a scalar, got shape {np.shape(sigma)}")
+    sig = np.float64(sigma)
     feats, zf = _features(z, np.log(sig))
     raw = model.net(feats)  # D(z, sigma) as (re, im) pairs
     raw -= zf
-    raw *= scale
-    return raw.view(np.complex128).reshape(shape)
+    raw *= 2.0 / (sig * sig)
+    return raw.view(np.complex128).reshape(np.shape(z))
 
 
 def model_score_fn(model: MlpScoreModel):
@@ -137,7 +134,7 @@ def dsm_loss(
     raw, cache = model.net.forward(_features(zi, np.log(sigma))[0])
     resid = raw - z0.view(np.float64).reshape(-1, 2)
     loss = float(np.mean(np.sum(resid**2, axis=-1)))
-    grads, _ = model.net.backward(cache, (2.0 / n) * resid)
+    grads = model.net.backward(cache, (2.0 / n) * resid)
     return loss, grads
 
 
@@ -178,27 +175,20 @@ def load_model(path: str) -> MlpScoreModel:
     return MlpScoreModel(net=net)
 
 
-def relative_score_error(
-    score_fn,
-    scheme: ConstellationScheme,
-    sigmas=EVAL_SIGMAS,
-    lo: float = -3.0,
-    hi: float = 3.0,
-    n_grid: int = 25,
-) -> float:
+def relative_score_error(score_fn, scheme: ConstellationScheme) -> float:
     """Aggregate relative L2 distance to the exact mixture score.
 
-    sqrt( sum |s_fn - s_exact|^2 / sum |s_exact|^2 ) over the full
-    (grid x sigma) evaluation set.
+    sqrt( sum |s_fn - s_exact|^2 / sum |s_exact|^2 ) over a 25 x 25 grid on
+    [-3, 3]^2 at each sigma in EVAL_SIGMAS.
     """
-    axis = np.linspace(lo, hi, n_grid)
+    axis = np.linspace(-3.0, 3.0, 25)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     z = (re + 1j * im).ravel()
     num = 0.0
     den = 0.0
-    for sigma in sigmas:
-        exact = mixture_score(z, float(sigma), scheme)
-        approx = score_fn(z, float(sigma))
+    for sigma in EVAL_SIGMAS:
+        exact = mixture_score(z, sigma, scheme)
+        approx = score_fn(z, sigma)
         num += float(np.sum(np.abs(approx - exact) ** 2))
         den += float(np.sum(np.abs(exact) ** 2))
     return float(np.sqrt(num / den))

@@ -24,10 +24,6 @@ def test_snr_to_sigma_values():
     assert snr_to_sigma(0.0) == pytest.approx(1.0)
     assert snr_to_sigma(-18.0) == pytest.approx(7.943282347242816, rel=1e-12)
     assert snr_to_sigma(18.0) == pytest.approx(0.12589254117941673, rel=1e-12)
-    # power scaling enters under the square root
-    assert snr_to_sigma(0.0, power=4.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        snr_to_sigma(0.0, power=0.0)
 
 
 def test_awgn_zero_sigma_identity():
@@ -71,6 +67,12 @@ def test_schedule_geometric():
 def test_schedule_two_point_and_errors():
     sched = build_schedule(1.0, 2.0, 2)
     np.testing.assert_allclose(sched.sigmas, [1.0, 2.0])
+    assert sched.n_steps == 2
+    # 0.3 * (7 / 0.3) is 7 + 1 ulp: the grid still ends at sigma_max exactly,
+    # which snr_to_step's range check compares against
+    for lo, hi in ((0.3, 7.0), (0.7, 3.0), (0.01, 10.0)):
+        grid = build_schedule(lo, hi, 16)
+        assert grid.sigmas[0] == lo and grid.sigmas[-1] == hi == grid.sigma_max
     with pytest.raises(ValueError):
         build_schedule(2.0, 1.0, 4)
     with pytest.raises(ValueError):

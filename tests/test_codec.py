@@ -39,7 +39,6 @@ def test_encoder_rejects_non_grid_schemes():
     # per-axis levels of BPSK would emit 1-1j and -1+1j, which are not BPSK
     # points; QPSK rotated by 45 degrees puts its points on the axes
     rotated = ConstellationScheme(
-        order=4,
         points=np.exp(0.25j * np.pi) * build_square_qam(4).points,
         bit_map=("00", "01", "10", "11"),
     )

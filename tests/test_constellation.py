@@ -32,7 +32,7 @@ def test_qam4_is_scaled_corner_grid():
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_qam_unit_average_power(order):
     scheme = build_square_qam(order)
-    assert len(scheme.points) == order
+    assert len(scheme.points) == order == scheme.order
     assert np.mean(np.abs(scheme.points) ** 2) == pytest.approx(1.0, abs=1e-12)
     # all points distinct
     assert len(set(scheme.points.tolist())) == order

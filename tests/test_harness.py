@@ -303,8 +303,16 @@ def test_cli_error_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train-score", "--head", "mean", "--out", str(tmp_path / "s.npz")])
     assert exc.value.code == 2
-    # empty work
+    # empty work, refused before any checkpoint is written
     assert main(["sweep", "--trials", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    for cmd in (["train-score", "--steps", "0"], ["joint-train", "--steps", "0"],
+                ["joint-train", "--order", "4", "--batch-size", "0"]):
+        assert main([*cmd, "--out", str(tmp_path / "zero.npz")]) == 2
+        assert not (tmp_path / "zero.npz").exists()
+    # a directory where a file is expected
+    assert main(["constellation", "--out", str(tmp_path)]) == 2
+    assert main(["eval", "--checkpoint", str(tmp_path)]) == 2
+    assert main(["sweep", "--config", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2
     for empty in ("n_symbols=0\n", "snr_grid=\n", "modes=\n"):
         cfg = write_cfg(tmp_path, empty)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2

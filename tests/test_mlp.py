@@ -82,27 +82,10 @@ def test_backward_matches_finite_differences():
         return 0.5 * np.sum((out - target) ** 2)
 
     out, cache = net.forward(x)
-    grads, grad_x = net.backward(cache, out - target)
+    grads = net.backward(cache, out - target)
     expected = numerical_grad(loss, net.params)
     for g, e in zip(grads, expected):
         np.testing.assert_allclose(g, e, rtol=1e-6, atol=1e-8)
-
-    # input gradient too
-    def loss_x():
-        return 0.5 * np.sum((net(x) - target) ** 2)
-
-    gx = np.zeros_like(x)
-    h = 1e-6
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            orig = x[i, j]
-            x[i, j] = orig + h
-            hi = loss_x()
-            x[i, j] = orig - h
-            lo = loss_x()
-            x[i, j] = orig
-            gx[i, j] = (hi - lo) / (2 * h)
-    np.testing.assert_allclose(grad_x, gx, rtol=1e-6, atol=1e-8)
 
 
 def test_adam_zero_grad_is_noop():

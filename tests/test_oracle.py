@@ -20,7 +20,7 @@ BPSK_MMSE_SIGMA1 = 0.231018
 
 
 def single_point_scheme(z1=0.3 - 0.7j):
-    return ConstellationScheme(order=1, points=np.array([z1]), bit_map=("",))
+    return ConstellationScheme(points=np.array([z1]), bit_map=("",))
 
 
 def test_log_density_single_gaussian():
@@ -171,7 +171,7 @@ def _scheme(name):
 
 def _rotated_qpsk():
     points = np.exp(0.25j * np.pi) * build_square_qam(4).points
-    return ConstellationScheme(order=4, points=points, bit_map=("00", "01", "10", "11"))
+    return ConstellationScheme(points=points, bit_map=("00", "01", "10", "11"))
 
 
 def _equivalence_input(shape):
@@ -203,7 +203,7 @@ def test_per_axis_path_matches_general_path(name, sigma, shape):
 
 def _general_path(scheme):
     """The same points with the per-axis path switched off."""
-    out = ConstellationScheme(order=scheme.order, points=scheme.points, bit_map=scheme.bit_map)
+    out = ConstellationScheme(points=scheme.points, bit_map=scheme.bit_map)
     object.__setattr__(out, "axis_levels", None)
     return out
 

@@ -31,7 +31,7 @@ def default_config(**kw):
 
 
 def single_point_scheme(z1=0.5 + 0.5j):
-    return ConstellationScheme(order=1, points=np.array([z1]), bit_map=("",))
+    return ConstellationScheme(points=np.array([z1]), bit_map=("",))
 
 
 def test_config_validation():
@@ -150,15 +150,15 @@ def test_pc_sample_observer_starts_at_received_symbols():
 
 
 def test_pc_sample_collapses_single_point():
-    scheme = single_point_scheme()
-    z1 = scheme.points[0]
+    # a unit-energy point, as every scheme is: P = 1 in the SNR convention
+    z1 = np.exp(0.3j)
+    scheme = single_point_scheme(z1)
     config = default_config()
     rng = stream_rng(6, 0)
     n = 1000
-    sigma_ch = snr_to_sigma(-10.0, power=float(np.abs(z1) ** 2))
+    sigma_ch = snr_to_sigma(-10.0)
     z_tilde = z1 + sigma_ch * complex_noise(rng, n)
-    out = pc_sample(z_tilde, -10.0, oracle_score_fn(scheme), config, rng,
-                    power=float(np.abs(z1) ** 2))
+    out = pc_sample(z_tilde, -10.0, oracle_score_fn(scheme), config, rng)
     assert np.mean(np.abs(out - z1) ** 2) <= 1e-2
 
 

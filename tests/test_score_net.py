@@ -61,28 +61,13 @@ def test_forward_deterministic_and_shape_preserving():
     assert a.shape == (3, 5)
 
 
-def test_forward_per_symbol_sigma_broadcasts_over_rows():
-    # a per-symbol sigma of shape (n,) for a (rows, n) batch: each row is
-    # scored as its own 1-D call with that sigma vector
-    rng = stream_rng(0, 1)
-    model = MlpScoreModel(net=Mlp([3, 16, 2], rng=rng))
-    z = rng.standard_normal((10, 100)) + 1j * rng.standard_normal((10, 100))
-    sigma = np.geomspace(0.05, 4.0, 100)
-    got = forward_score(model, z, sigma)
-    assert got.shape == z.shape
-    for row, z_row in zip(got, z):
-        np.testing.assert_allclose(row, forward_score(model, z_row, sigma), rtol=1e-12)
-
-
 def _reference_score(model, z, sigma):
     """(2 / sigma^2) (D - z), with D from `net.forward` on stacked features."""
     z = np.asarray(z, dtype=np.complex128)
     shape, z = z.shape, z.ravel()
-    sig = np.asarray(sigma, dtype=float)
-    if sig.ndim:
-        sig = np.broadcast_to(sig, shape).ravel()
+    sig = np.float64(sigma)
     log_sig = np.broadcast_to(np.log(sig), z.shape)
-    scale = np.broadcast_to(2.0 / sig**2, z.shape)
+    scale = 2.0 / sig**2
     d, _ = model.net.forward(np.stack([z.real, z.imag, log_sig], axis=-1))
     ref = np.empty(z.shape, dtype=np.complex128)
     ref.real = scale * (d[:, 0] - z.real)
@@ -97,22 +82,22 @@ def test_forward_score_matches_reference_bit_for_bit():
     model = MlpScoreModel(net=Mlp([3, 16, 16, 2], rng=rng))
     z = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
     z_before = z.copy()
-    sig_full = rng.uniform(0.05, 4.0, z.shape)
     cases = [
         (z, 0.7),
-        (z, sig_full),
-        (z, sig_full[:, :1]),  # one sigma per row, broadcast
         (z[:, ::2], 1.9),
-        (z[:, ::2], sig_full[:, ::2]),
         (z.T, 0.3),
-        (z.T, sig_full.T),
         (z[2, 3], 0.7),  # 0-d z
+        (z, np.float64(2.5)),
     ]
     for zc, sigma in cases:
         got = forward_score(model, zc, sigma)
         assert got.shape == np.shape(zc)
         np.testing.assert_array_equal(got, _reference_score(model, zc, sigma))
     np.testing.assert_array_equal(z, z_before)
+    # sigma is one scalar per call: an array raises instead of broadcasting
+    for sigma in (np.full(z.shape, 0.7), np.array([0.7])):
+        with pytest.raises(ValueError, match="scalar"):
+            forward_score(model, z, sigma)
 
 
 def test_dsm_loss_zero_residual_is_zero():
@@ -152,7 +137,11 @@ def test_dsm_loss_is_sigma4_weighted_score_matching():
     sigma = sched.sigmas[replay.integers(1, sched.n_steps + 1, size=z0.size) - 1]
     zi = z0 + sigma * complex_noise(replay, z0.size)
     target = -2.0 * (zi - z0) / sigma**2
-    resid = forward_score(model, zi, sigma) - target
+    score = np.empty_like(zi)
+    for level_sigma in np.unique(sigma):  # forward_score takes one sigma per call
+        at = sigma == level_sigma
+        score[at] = forward_score(model, zi[at], level_sigma)
+    resid = score - target
     expected = np.mean(sigma**4 / 4.0 * np.abs(resid) ** 2)
     assert loss == pytest.approx(expected, rel=1e-12, abs=0.0)
 
