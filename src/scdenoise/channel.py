@@ -49,7 +49,10 @@ def complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def snr_to_sigma(snr_db: float) -> float:
-    """Channel noise std (total complex) for a given SNR in dB, at P = 1."""
+    """Channel noise std (total complex) for a given SNR in dB, at P = 1.
+    Raises ValueError for a NaN or infinite SNR."""
+    if not np.isfinite(snr_db):
+        raise ValueError(f"SNR must be finite, got {snr_db} dB")
     return float(np.sqrt(10.0 ** (-snr_db / 10.0)))
 
 
@@ -116,7 +119,9 @@ def forward_diffuse(
 
 def snr_to_step(snr_db: float, sched: NoiseSchedule) -> int:
     """Map a channel SNR onto the schedule: the smallest level k with
-    sigma_k >= sigma_ch, so sigma_ch lies in (sigma_{k-1}, sigma_k]."""
+    sigma_k >= sigma_ch, so sigma_ch lies in (sigma_{k-1}, sigma_k].
+    Raises ValueError for a non-finite SNR (`snr_to_sigma`) and for a
+    channel noise above sigma_max."""
     sigma_ch = snr_to_sigma(snr_db)
     if sigma_ch > sched.sigma_max:
         raise ValueError(

@@ -123,6 +123,8 @@ class JointTrainConfig:
     denoise: bool = True  # False trains the raw-noisy-symbol baseline
 
     def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.steps < 1:
             raise ValueError("batch_size and steps must each be at least 1")
 

@@ -25,16 +25,21 @@ _SUPPORTED_QAM = (4, 16, 64)
 class ConstellationScheme:
     """A modulation alphabet: M complex points plus a Gray bit mapping.
 
-    `order` (M) and `axis_levels` are derived from `points`. `axis_levels`
-    holds the sorted levels shared by the real and the imaginary axis, when
-    the points are exactly the product grid of those levels with themselves
-    (square QAM), and None otherwise (BPSK, any other point set).
+    `order` (M), `axis_levels` and `grid_index` are derived from `points`.
+    `axis_levels` holds the sorted levels shared by the real and the
+    imaginary axis, when the points are exactly the product grid of those
+    levels with themselves (square QAM), and None otherwise (BPSK, any other
+    point set). On a grid, `grid_index[i, j]` is the index of the point
+    axis_levels[i] + 1j * axis_levels[j], whatever order the points are in.
     """
 
     points: np.ndarray  # complex128, shape (M,)
     bit_map: tuple[str, ...]  # length M, each log2(M) chars of '0'/'1'
     order: int = field(init=False)
     axis_levels: np.ndarray | None = field(
+        init=False, repr=False, compare=False
+    )
+    grid_index: np.ndarray | None = field(
         init=False, repr=False, compare=False
     )
 
@@ -49,10 +54,17 @@ class ConstellationScheme:
         # distinct points whose parts come from the levels fill the grid iff
         # there are exactly |levels|^2 of them
         is_grid = re == im and len(set(points.tolist())) == points.size == len(re) ** 2
-        levels = np.array(re) if is_grid else None
-        if levels is not None:
+        levels = index = None
+        if is_grid:
+            levels = np.array(re)
+            position = {level: i for i, level in enumerate(re)}
+            index = np.empty((len(re), len(re)), dtype=np.intp)
+            for m, p in enumerate(points.tolist()):
+                index[position[p.real], position[p.imag]] = m
             levels.setflags(write=False)
+            index.setflags(write=False)
         object.__setattr__(self, "axis_levels", levels)
+        object.__setattr__(self, "grid_index", index)
 
 
 def _gray(k: int) -> int:
@@ -101,9 +113,31 @@ def modulate(indices: np.ndarray, scheme: ConstellationScheme) -> np.ndarray:
 def demodulate_hard(values: np.ndarray, scheme: ConstellationScheme) -> np.ndarray:
     """Nearest-point (minimum Euclidean distance) detection.
 
-    Ties are broken toward the lowest index, which argmin already guarantees.
+    On a grid (`scheme.axis_levels` set) the squared distance is a sum over
+    the two axes, so each coordinate of the interleaved float64 view goes to
+    the level l minimizing (x - l)^2 and `scheme.grid_index` maps the (re, im)
+    level pair to the point index; no (..., M) distance array is made. A
+    coordinate exactly between two levels goes to the lower level. On
+    `build_square_qam`'s row-major order that is the lowest point index,
+    which is what the M-point argmin gives. Any other point set (BPSK
+    included) takes that argmin over the squared distances to all M points,
+    ties going to the lowest index.
     """
     values = np.asarray(values, dtype=np.complex128)
-    d = values[..., None] - scheme.points
-    d2 = d.real**2 + d.imag**2
-    return np.argmin(d2, axis=-1)
+    levels = scheme.axis_levels
+    if levels is None:
+        d = values[..., None] - scheme.points
+        return np.argmin(d.real**2 + d.imag**2, axis=-1)
+    x = np.ascontiguousarray(values).reshape(-1).view(np.float64)
+    d2 = levels[:, None] - x
+    d2 *= d2
+    # argmin over axis 0 in whole-row passes (np.argmin along axis 0 runs
+    # row by row over the transpose): k counts the levels before the first
+    # minimum
+    d2_min = d2.min(axis=0)
+    k = np.zeros(x.size, dtype=np.intp)
+    before = np.ones(x.size, dtype=bool)
+    for row in d2[:-1]:
+        before &= row > d2_min
+        k += before
+    return scheme.grid_index[k[0::2], k[1::2]].reshape(values.shape)

@@ -34,6 +34,8 @@ class Mlp:
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layers")
         self.layer_sizes = [int(s) for s in layer_sizes]
+        if min(self.layer_sizes) < 1:
+            raise ValueError(f"layer widths must each be at least 1, got {self.layer_sizes}")
         self.weights = []
         self.biases = []
         for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):

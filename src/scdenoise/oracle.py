@@ -21,6 +21,17 @@ real components per symbol instead of M complex ones, with no (..., M)
 temporary. Any other point set (BPSK included) takes the general M-point
 path, which also serves as the reference the per-axis path is tested against.
 
+The per-axis softmax clamps its shifted log-weights at _EXP_FLOOR = -700
+before the exponential. The nearest level's weight is exactly 1, so the
+normalizer is at least 1 and a weight of at most e^-700 (about 1e-304) cannot
+change it; it changes the weighted sum only where that sum is below about
+1e-287 in magnitude, as at a point exactly between symmetric levels. The
+clamp keeps numpy's vectorized exp on its fast path, which it leaves for
+arguments below about -708, where the results are 0 or subnormal. With numpy
+2.4 on a 2-core x86 host, an exp over 32k elements took 30-40 us on the fast
+path, 0.1-0.6 ms when the results were 0 and about 4 ms when they were
+subnormal; at sigma <= 0.05 on 64-QAM most weights are that small.
+
 The MMSE floor E|z0 - E[z0|z]|^2 is an integral over the noise, computed
 deterministically by Gauss-Hermite quadrature through the same posterior-mean
 code: per axis on a grid (2 sqrt(M) levels times K nodes), with a K x K
@@ -48,6 +59,9 @@ __all__ = [
 # dense trapezoid reference (CHANGES.md); numpy's hermgauss overflows above
 # about 370.
 _HERMITE_ORDER = 320
+
+# Lower clamp on the per-axis log-weights before np.exp (module docstring).
+_EXP_FLOOR = -700.0
 
 
 def _neg_sq_dists(z: np.ndarray, sigma: float, scheme: ConstellationScheme) -> np.ndarray:
@@ -118,6 +132,7 @@ def _axis_mean(x: np.ndarray, sigma: float, levels: np.ndarray) -> np.ndarray:
     a *= a
     a -= np.min(a, axis=0)
     a *= -1.0 / sigma**2
+    np.maximum(a, _EXP_FLOOR, out=a)
     np.exp(a, out=a)
     num, den = np.stack([levels, np.ones_like(levels)]) @ a
     return num / den

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scdenoise.constellation import (
+    ConstellationScheme,
     build_bpsk,
     build_square_qam,
     demodulate_hard,
@@ -103,3 +104,64 @@ def test_demodulate_nearest_and_tiebreak():
     assert demodulate_hard(np.array([-0.1 + 0j]), scheme)[0] == 1
     # exactly equidistant: lowest index wins
     assert demodulate_hard(np.array([0.0 + 0j]), scheme)[0] == 0
+
+
+def _nearest_of_all_points(values, scheme):
+    """The M-point reference: argmin of the squared distance to every point."""
+    d = np.asarray(values, dtype=np.complex128)[..., None] - scheme.points
+    return np.argmin(d.real**2 + d.imag**2, axis=-1)
+
+
+def _permuted(scheme, seed):
+    perm = np.random.default_rng(seed).permutation(scheme.order)
+    return ConstellationScheme(points=scheme.points[perm],
+                               bit_map=tuple(scheme.bit_map[m] for m in perm))
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_grid_index_maps_level_pairs_to_points(order):
+    for scheme in (build_square_qam(order), _permuted(build_square_qam(order), order)):
+        levels = scheme.axis_levels
+        assert np.array_equal(scheme.points[scheme.grid_index], levels[:, None] + 1j * levels)
+    assert build_bpsk().grid_index is None
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_demodulate_per_axis_matches_all_points(order):
+    scheme = build_square_qam(order)
+    assert scheme.axis_levels is not None
+    levels = scheme.axis_levels
+    rng = np.random.default_rng(order)
+    # every midpoint between adjacent levels with its two neighbouring floats,
+    # so the exact ties (m - a)^2 == (m - b)^2 are among them wherever rounding
+    # puts them; plus the levels themselves and +-0
+    mids = (levels[1:] + levels[:-1]) / 2
+    coords = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+                             levels, [0.0, -0.0]])
+    ties = [(m - a) ** 2 == (m - b) ** 2
+            for m in coords for a, b in zip(levels[:-1], levels[1:]) if a < m < b]
+    assert sum(ties) >= levels.size - 1
+    far = rng.uniform(30.0, 300.0, (2, 512)) * rng.choice([-1.0, 1.0], (2, 512))
+    inputs = {
+        "random": 1.5 * (rng.standard_normal((16, 128)) + 1j * rng.standard_normal((16, 128))),
+        "midpoints": coords[:, None] + 1j * coords,
+        # far outside the constellation, both coordinates, and one of them
+        "far": far[0] + 1j * far[1],
+        "far_one_axis": far[0] + 1j * rng.standard_normal(512),
+        "scalar": np.complex128(0.3 - 0.2j),
+        "empty": np.zeros((0, 3), dtype=np.complex128),
+    }
+    for name, values in inputs.items():
+        got = demodulate_hard(values, scheme)
+        assert got.shape == np.shape(values), name
+        assert np.array_equal(got, _nearest_of_all_points(values, scheme)), name
+    # off the ties, the detection does not depend on the order of the points
+    permuted = _permuted(scheme, order + 1)
+    for name in ("random", "far", "far_one_axis"):
+        values = inputs[name]
+        assert np.array_equal(demodulate_hard(values, permuted),
+                              _nearest_of_all_points(values, permuted)), name
+    # on the ties it goes to the lower level, whatever the order: 0 is exactly
+    # halfway between the two middle levels on both axes
+    k = levels.size // 2 - 1
+    assert demodulate_hard(0j, permuted) == permuted.grid_index[k, k]

@@ -275,7 +275,7 @@ def test_cli_train_eval_joint(tmp_path):
     assert dec.exists()
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, "order=banana\n")
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg"),
@@ -306,9 +306,24 @@ def test_cli_error_exit_codes(tmp_path):
     # empty work, refused before any checkpoint is written
     assert main(["sweep", "--trials", "0", "--out", str(tmp_path / "x.csv")]) == 2
     for cmd in (["train-score", "--steps", "0"], ["joint-train", "--steps", "0"],
-                ["joint-train", "--order", "4", "--batch-size", "0"]):
+                ["joint-train", "--order", "4", "--batch-size", "0"],
+                # a non-positive learning rate, and a layer of width 0
+                ["joint-train", "--order", "4", "--steps", "1", "--learning-rate", "0"],
+                ["joint-train", "--order", "4", "--steps", "1", "--learning-rate=-1e-3"],
+                ["train-score", "--steps", "1", "--hidden", "8,0"],
+                ["joint-train", "--order", "4", "--steps", "1", "--source-dim", "0"]):
         assert main([*cmd, "--out", str(tmp_path / "zero.npz")]) == 2
         assert not (tmp_path / "zero.npz").exists()
+    # a non-finite SNR is refused by name, not mapped to a level or a sigma
+    capsys.readouterr()
+    for snr in ("nan", "inf", "-inf"):
+        assert main(["denoise", "--order", "4", f"--snr-db={snr}"]) == 2
+        assert f"SNR must be finite, got {float(snr)} dB" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, "snr_grid=nan\n")
+    out = tmp_path / "nan_snr.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "SNR must be finite, got nan dB" in capsys.readouterr().err
+    assert not out.exists()
     # a directory where a file is expected
     assert main(["constellation", "--out", str(tmp_path)]) == 2
     assert main(["eval", "--checkpoint", str(tmp_path)]) == 2

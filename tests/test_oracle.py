@@ -6,6 +6,7 @@ import pytest
 from scdenoise.channel import snr_to_sigma
 from scdenoise.constellation import ConstellationScheme, build_bpsk, build_square_qam
 from scdenoise.oracle import (
+    _axis_mean,
     log_density,
     mixture_score,
     mmse_bound,
@@ -262,3 +263,35 @@ def test_mmse_bound_matches_dense_reference(name):
             assert got == pytest.approx(ref, rel=1e-10), snr_db
     # the smallest noise level of the default schedule
     assert abs(mmse_bound(0.01, scheme) - _reference_floor(name, 0.01)) <= 1e-12
+
+
+def _axis_mean_unclamped(x, sigma, levels):
+    """`_axis_mean` without the floor on the log-weights before np.exp."""
+    a = levels[:, None] - x
+    a *= a
+    a -= np.min(a, axis=0)
+    a *= -1.0 / sigma**2
+    np.exp(a, out=a)
+    num, den = np.stack([levels, np.ones_like(levels)]) @ a
+    return num / den
+
+
+@pytest.mark.parametrize("sigma", [0.003, 0.01, 0.0215, 0.0334, 0.05])
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_axis_mean_exp_floor_changes_nothing(order, sigma):
+    levels = build_square_qam(order).axis_levels
+    rng = np.random.default_rng(int(order / sigma))
+    x = np.concatenate([1.5 * rng.standard_normal(4096),
+                        rng.choice(levels, 1024) + sigma * rng.standard_normal(1024)])
+    # the inputs reach the clamp: many log-weights are below it
+    d2 = (levels[:, None] - x) ** 2
+    assert np.mean((d2 - d2.min(axis=0)) / sigma**2 > 700.0) > 0.3
+    got = _axis_mean(x, sigma, levels)
+    assert got.tobytes() == _axis_mean_unclamped(x, sigma, levels).tobytes()
+    # exactly between symmetric levels the true mean is 0; the clamped
+    # weights of at most e^-700 may move it by about that much
+    zero = np.array([0.0, -0.0])
+    ref = _axis_mean_unclamped(zero, sigma, levels)
+    assert np.max(np.abs(_axis_mean(zero, sigma, levels) - ref)) <= 1e-290
+    score = mixture_score(np.array([0.0 + 0.0j]), sigma, build_square_qam(order))
+    assert abs(score[0].real - (2.0 / sigma**2) * ref[0]) <= (2.0 / sigma**2) * 1e-290
