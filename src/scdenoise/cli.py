@@ -167,9 +167,9 @@ def cmd_joint_train(args) -> int:
         steps=args.steps,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
-        denoise=not args.raw_baseline,
     )
-    score_fn = _score_fn_for(args, config)
+    # the raw baseline denoises nothing, so it builds no score function
+    score_fn = None if args.raw_baseline else _score_fn_for(args, config)
     dec, trace = codec.joint_train(
         enc, dec, score_fn, config.sampler_config(), config.schedule(), train_cfg, rng
     )
@@ -254,9 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--checkpoint", default=None, help="score checkpoint (default: oracle)")
-    p.add_argument("--raw-baseline", action="store_true",
-                   help="train on raw noisy symbols instead of denoised ones")
+    score = p.add_mutually_exclusive_group()
+    score.add_argument("--checkpoint", default=None, help="score checkpoint (default: oracle)")
+    score.add_argument("--raw-baseline", action="store_true",
+                       help="train on raw noisy symbols instead of denoised ones")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None, help="training trace CSV path")
     _add_common(p)
@@ -270,16 +271,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

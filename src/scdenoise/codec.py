@@ -1,11 +1,13 @@
 """Toy digital-semantic pipeline: fixed quantizing encoder, trainable MLP decoder.
 
-The encoder maps each pair of source dimensions in [-1, 1] onto one
-constellation symbol by per-axis nearest-level quantization; it is
-deliberately untrainable so the second training stage (decoder adaptation to
-denoised symbols) is isolated from codec learning. Symbol sequences and the
-decoder's real inputs are the same memory: a sequence of n complex128 symbols
-viewed as 2n float64 values, interleaved (re, im).
+A thin layer over the modules below it. The encoder scales each pair of
+source dimensions in [-1, 1] onto the level span and sends it to its nearest
+constellation point with `constellation.demodulate_hard`; it is deliberately
+untrainable so the second training stage (decoder adaptation to denoised
+symbols) is isolated from codec learning. The decoder is an `mlp.Mlp`, and
+`joint_train` denoises with `sampler.denoise_from_level`. Symbol sequences
+and the decoder's real inputs are the same memory: a sequence of n complex128
+symbols viewed as 2n float64 values, interleaved (re, im).
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseSchedule, forward_diffuse
-from .constellation import ConstellationScheme
+from .constellation import ConstellationScheme, demodulate_hard
 from .errors import ConfigError, DivergenceError
-from .mlp import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
+from .mlp import AdamState, Mlp, adam_step, check_training, load_checkpoint, save_checkpoint
 from .sampler import SamplerConfig, denoise_from_level
 
 __all__ = [
@@ -25,7 +27,6 @@ __all__ = [
     "DecoderModel",
     "JointTrainConfig",
     "encode",
-    "dequantize",
     "decode",
     "joint_train",
     "save_decoder",
@@ -54,12 +55,8 @@ class QuantizingEncoder:
             )
 
     @property
-    def levels(self) -> np.ndarray:
-        return self.scheme.axis_levels
-
-    @property
     def level_span(self) -> float:
-        return float(self.levels.max())
+        return float(self.scheme.axis_levels.max())
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:
@@ -73,15 +70,9 @@ def encode(x: np.ndarray, enc: QuantizingEncoder) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] % 2 != 0:
         raise ValueError("source dimension must be even (two dims per symbol)")
-    # each source value onto its nearest level; (re, im) pairs of levels are
-    # the symbols
-    idx = np.argmin(np.abs((x * enc.level_span)[..., None] - enc.levels), axis=-1)
-    return enc.levels[idx].view(np.complex128)
-
-
-def dequantize(z: np.ndarray, enc: QuantizingEncoder) -> np.ndarray:
-    """Map symbols back to the source domain (inverse of the level scaling)."""
-    return _pairs(z) / enc.level_span
+    # each scaled (re, im) source pair onto its nearest constellation point
+    pairs = np.ascontiguousarray(x * enc.level_span).view(np.complex128)
+    return enc.scheme.points[demodulate_hard(pairs, enc.scheme)]
 
 
 @dataclass
@@ -120,13 +111,9 @@ class JointTrainConfig:
     steps: int = 2000
     batch_size: int = 64
     learning_rate: float = 1e-3
-    denoise: bool = True  # False trains the raw-noisy-symbol baseline
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.steps < 1:
-            raise ValueError("batch_size and steps must each be at least 1")
+        check_training(self.steps, self.batch_size, self.learning_rate)
 
 
 def joint_train(
@@ -138,28 +125,28 @@ def joint_train(
     config: JointTrainConfig,
     rng: np.random.Generator,
 ):
-    """Train the decoder on (denoised) channel outputs; the score model is frozen.
+    """Train the decoder on channel outputs, denoised by the frozen score_fn.
 
     Each iteration draws a batch of uniform sources, corrupts the encoded
-    symbols to a uniformly random schedule level, optionally denoises with the
-    sampler, and descends the decoder's reconstruction loss ||x - x_hat||^2.
-    Returns (decoder, trace) with one (loss, level) row per step.
+    symbols to a uniformly random schedule level, denoises them from that
+    level with `denoise_from_level` unless score_fn is None (the raw-symbol
+    baseline, which draws no sampler noise), and descends the decoder's
+    reconstruction loss ||x - x_hat||^2. Returns (decoder, trace) with one
+    (loss, level) row per step.
     """
     d = dec.source_dim
     if 2 * dec.n_symbols != d:
         raise ValueError("decoder shape must pair two source dims per symbol")
-    state = AdamState.for_params(dec.net.params)
+    state = AdamState(dec.net.params)
     trace = np.empty((config.steps, 2))
     for step in range(config.steps):
         x = rng.uniform(-1.0, 1.0, size=(config.batch_size, d))
         z0 = encode(x, enc)
         level = int(rng.integers(1, sched.n_steps + 1))
-        z_noisy = forward_diffuse(z0, level, sched, rng)
-        if config.denoise:
-            z_in = denoise_from_level(z_noisy, level, score_fn, sampler_config, rng)
-        else:
-            z_in = z_noisy
-        out, cache = dec.net.forward(_pairs(z_in))
+        z = forward_diffuse(z0, level, sched, rng)
+        if score_fn is not None:
+            z = denoise_from_level(z, level, score_fn, sampler_config, rng)
+        out, cache = dec.net.forward(_pairs(z))
         resid = out - x
         loss = float(np.mean(np.sum(resid**2, axis=-1)))
         if not np.isfinite(loss):

@@ -5,16 +5,16 @@ Both the score network and the semantic decoder build on this, and share its
 checkpoint format: a version tag, the layer sizes, the parameter arrays
 `w{i}`/`b{i}` and one string of model metadata. Adam uses the standard
 constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8; only the learning rate
-is set per call.
+is set per call, and `check_training` is the one check of a training loop's
+step count, batch size and learning rate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["Mlp", "AdamState", "adam_step", "save_checkpoint", "load_checkpoint"]
+__all__ = ["Mlp", "AdamState", "adam_step", "check_training", "save_checkpoint",
+           "load_checkpoint"]
 
 CHECKPOINT_VERSION = 1
 
@@ -111,21 +111,13 @@ class Mlp:
         return all(np.all(np.isfinite(p)) for p in self.params)
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """Adam's first/second moment accumulators for `params`, zero at step 0."""
 
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, params) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0,
-        )
+    def __init__(self, params):
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
@@ -144,6 +136,15 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         mhat = m / (1.0 - b1**state.t)
         vhat = v / (1.0 - b2**state.t)
         p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def check_training(steps: int, batch_size: int, learning_rate: float) -> None:
+    """Raise ValueError unless steps and batch_size are at least 1 and
+    learning_rate is positive; a NaN rate is not positive."""
+    if not learning_rate > 0:
+        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    if batch_size < 1 or steps < 1:
+        raise ValueError("batch_size and steps must each be at least 1")
 
 
 def save_checkpoint(path: str, net: Mlp, **meta: str) -> None:

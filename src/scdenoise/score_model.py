@@ -22,7 +22,7 @@ import numpy as np
 from .channel import NoiseSchedule, complex_noise, stream_rng
 from .constellation import ConstellationScheme
 from .errors import DivergenceError
-from .mlp import AdamState, Mlp, adam_step, load_checkpoint, save_checkpoint
+from .mlp import AdamState, Mlp, adam_step, check_training, load_checkpoint, save_checkpoint
 from .oracle import mixture_score
 
 __all__ = [
@@ -67,10 +67,7 @@ class DsmConfig:
     def __post_init__(self):
         if self.head != "mean":
             raise ValueError(f"unknown score head {self.head!r}; only 'mean' exists")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.steps < 1:
-            raise ValueError("batch_size and steps must each be at least 1")
+        check_training(self.steps, self.batch_size, self.learning_rate)
 
 
 def _features(z: np.ndarray, log_sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +143,7 @@ def train_score(scheme: ConstellationScheme, config: DsmConfig):
     rng = stream_rng(config.seed, 0)
     net = Mlp([3, *config.hidden, 2], rng=rng)
     model = MlpScoreModel(net=net)
-    state = AdamState.for_params(net.params)
+    state = AdamState(net.params)
     trace = np.empty(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, scheme.order, size=config.batch_size)

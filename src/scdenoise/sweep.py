@@ -36,6 +36,9 @@ __all__ = ["SweepRecord", "ExperimentConfig", "run_sweep", "emit_scatter", "writ
 
 SWEEP_MODES = ("raw", "mmse", "oracle_pc", "learned_pc")
 
+# the per-step beta of the drifted (vp) reference cloud that `emit_scatter` writes
+SCATTER_BETA = 0.1
+
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -67,7 +70,6 @@ class ExperimentConfig:
     # read by nothing (oracle.mmse_bound is quadrature); kept only because
     # perfbench/workloads.py passes it, like DsmConfig.head
     mmse_trials: int = 200_000
-    scatter_beta: float = 0.1
     scatter_trials: int = 2000
 
     def __post_init__(self):
@@ -223,7 +225,7 @@ def emit_scatter(config: ExperimentConfig, step: int, path: str) -> None:
     idx = rng.integers(0, scheme.order, size=config.scatter_trials)
     z0 = modulate(idx, scheme)
     z_scdm = forward_diffuse(z0, step, sched, rng)
-    z_vp = vp_forward_reference(z0, step, config.scatter_beta, rng)
+    z_vp = vp_forward_reference(z0, step, SCATTER_BETA, rng)
     rows = (
         (step, mode, t, zk.real, zk.imag)
         for mode, z in (("scdm", z_scdm), ("vp", z_vp))

@@ -219,10 +219,9 @@ def test_criterion_6_joint_training_benefit(qam64, schedule):
 
     def train(denoise):
         dec = DecoderModel.build(d // 2, d, rng=stream_rng(42, 0))
-        cfg = JointTrainConfig(steps=1500, batch_size=64, learning_rate=1e-3,
-                               denoise=denoise)
-        dec, _ = joint_train(enc, dec, fn, sampler_cfg, schedule, cfg,
-                             stream_rng(42, 1))
+        cfg = JointTrainConfig(steps=1500, batch_size=64, learning_rate=1e-3)
+        dec, _ = joint_train(enc, dec, fn if denoise else None, sampler_cfg, schedule,
+                             cfg, stream_rng(42, 1))
         return dec
 
     dec_denoised = train(True)

@@ -9,7 +9,6 @@ from scdenoise.codec import (
     JointTrainConfig,
     QuantizingEncoder,
     decode,
-    dequantize,
     encode,
     joint_train,
     load_decoder,
@@ -31,7 +30,7 @@ def small_setup(order=16):
 
 def test_encoder_levels():
     scheme, _, enc = small_setup(16)
-    np.testing.assert_allclose(enc.levels, np.unique(scheme.points.real))
+    np.testing.assert_allclose(scheme.axis_levels, np.unique(scheme.points.real))
     assert enc.level_span == pytest.approx(np.max(scheme.points.real))
 
 
@@ -76,19 +75,44 @@ def test_encode_quantization_error_bounded():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, size=(100, 16))
     z = encode(x, enc)
-    back = dequantize(z, enc)
+    back = z.view(np.float64) / enc.level_span  # the (re, im) pairs, unscaled
     # nearest-level quantization: per-axis error at most half the level spacing
-    spacing = (enc.levels[1] - enc.levels[0]) / enc.level_span
+    spacing = (scheme.axis_levels[1] - scheme.axis_levels[0]) / enc.level_span
     assert np.max(np.abs(back - x)) <= spacing / 2 + 1e-12
     # every emitted symbol is a constellation point
     assert np.all(np.isin(z.ravel(), scheme.points))
 
 
-def test_dequantize_roundtrip_shape():
+def test_encode_shapes():
     _, _, enc = small_setup(16)
     z = encode(np.zeros((5, 8)), enc)
     assert z.shape == (5, 4)
-    assert dequantize(z, enc).shape == (5, 8)
+    assert z.view(np.float64).shape == (5, 8)
+    assert encode(np.zeros((2, 3, 6)), enc).shape == (2, 3, 3)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_encode_matches_per_axis_nearest_level(order):
+    # encode goes through demodulate_hard; it must give what the per-axis
+    # rule gives (each value to its nearest level, ties to the lower one) on
+    # random sources, on every midpoint between levels with its neighbouring
+    # floats, and far outside [-1, 1]
+    scheme, _, enc = small_setup(order)
+    levels = scheme.axis_levels
+    mid = (levels[:-1] + levels[1:]) / 2 / enc.level_span
+    edges = np.concatenate([mid, np.nextafter(mid, -2.0), np.nextafter(mid, 2.0)])
+    rng = np.random.default_rng(order)
+    x = np.concatenate([
+        rng.uniform(-1.0, 1.0, 4096 * 16),
+        edges,
+        rng.permutation(edges),
+        rng.uniform(-1e3, 1e3, 256),
+        [-1.0, 1.0, 0.0, -0.0],
+    ])
+    x = x[: x.size // 2 * 2].reshape(-1, 2)
+    nearest = np.argmin(np.abs((x * enc.level_span)[..., None] - levels), axis=-1)
+    expected = levels[nearest].view(np.complex128)
+    np.testing.assert_array_equal(encode(x, enc), expected)
 
 
 def test_decoder_zero_weights_and_determinism():

@@ -7,6 +7,13 @@ import pytest
 
 from scdenoise.channel import awgn_transmit, complex_noise, snr_to_sigma, stream_rng
 from scdenoise.cli import main
+from scdenoise.codec import (
+    DecoderModel,
+    JointTrainConfig,
+    QuantizingEncoder,
+    joint_train,
+    load_decoder,
+)
 from scdenoise.constellation import demodulate_hard, modulate
 from scdenoise.errors import ConfigError
 from scdenoise.metrics import mse, ser
@@ -216,8 +223,7 @@ def test_emit_scatter_drift_contrast(tmp_path):
     # at the last step the drift-free cloud keeps per-symbol means at the
     # constellation (zero overall mean, full power retained in the means is
     # not observable from the pooled cloud, so check the vp shrink instead)
-    cfg = ExperimentConfig(order=4, n_steps=16, scatter_trials=4000,
-                           scatter_beta=0.1, master_seed=3)
+    cfg = ExperimentConfig(order=4, n_steps=16, scatter_trials=4000, master_seed=3)
     path = tmp_path / "sc.csv"
     emit_scatter(cfg, 1, str(path))
     rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
@@ -275,6 +281,32 @@ def test_cli_train_eval_joint(tmp_path):
     assert dec.exists()
 
 
+def test_cli_raw_baseline_matches_library(tmp_path):
+    # --raw-baseline is joint_train with no score function: the decoder
+    # trains on the noisy symbols, and no score model is built or loaded
+    dec_path, trace_path = tmp_path / "raw.npz", tmp_path / "raw.csv"
+    assert main(["joint-train", "--order", "4", "--source-dim", "4", "--steps", "20",
+                 "--batch-size", "8", "--seed", "5", "--raw-baseline",
+                 "--out", str(dec_path), "--trace", str(trace_path)]) == 0
+    config = ExperimentConfig(order=4, master_seed=5)
+    rng = stream_rng(5, 200)
+    dec, trace = joint_train(QuantizingEncoder(config.scheme()),
+                             DecoderModel.build(2, 4, rng=rng), None,
+                             config.sampler_config(), config.schedule(),
+                             JointTrainConfig(steps=20, batch_size=8), rng)
+    for got, want in zip(load_decoder(str(dec_path)).net.params, dec.net.params):
+        np.testing.assert_array_equal(got, want)
+    ref_path = tmp_path / "ref.csv"
+    write_csv(str(ref_path), "step,loss,snr_step", ((i, *row) for i, row in enumerate(trace)))
+    assert trace_path.read_bytes() == ref_path.read_bytes()
+    # the raw baseline takes no score checkpoint
+    with pytest.raises(SystemExit) as exc:
+        main(["joint-train", "--raw-baseline", "--checkpoint", str(dec_path),
+              "--out", str(tmp_path / "both.npz")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "both.npz").exists()
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, "order=banana\n")
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
@@ -307,9 +339,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--trials", "0", "--out", str(tmp_path / "x.csv")]) == 2
     for cmd in (["train-score", "--steps", "0"], ["joint-train", "--steps", "0"],
                 ["joint-train", "--order", "4", "--batch-size", "0"],
-                # a non-positive learning rate, and a layer of width 0
+                # a non-positive or NaN learning rate, and a layer of width 0
                 ["joint-train", "--order", "4", "--steps", "1", "--learning-rate", "0"],
                 ["joint-train", "--order", "4", "--steps", "1", "--learning-rate=-1e-3"],
+                ["joint-train", "--order", "4", "--steps", "1", "--learning-rate", "nan"],
+                ["train-score", "--steps", "1", "--learning-rate", "nan"],
                 ["train-score", "--steps", "1", "--hidden", "8,0"],
                 ["joint-train", "--order", "4", "--steps", "1", "--source-dim", "0"]):
         assert main([*cmd, "--out", str(tmp_path / "zero.npz")]) == 2
@@ -319,6 +353,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     for snr in ("nan", "inf", "-inf"):
         assert main(["denoise", "--order", "4", f"--snr-db={snr}"]) == 2
         assert f"SNR must be finite, got {float(snr)} dB" in capsys.readouterr().err
+    # an SNR so high that its noise std underflows to 0 is refused by name too
+    assert main(["denoise", "--order", "4", "--snr-db", "7000"]) == 2
+    assert "SNR 7000.0 dB is too high" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, "snr_grid=nan\n")
     out = tmp_path / "nan_snr.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
@@ -328,7 +365,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["constellation", "--out", str(tmp_path)]) == 2
     assert main(["eval", "--checkpoint", str(tmp_path)]) == 2
     assert main(["sweep", "--config", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2
-    for empty in ("n_symbols=0\n", "snr_grid=\n", "modes=\n"):
+    # scatter_beta is a constant, not a config key
+    for empty in ("n_symbols=0\n", "snr_grid=\n", "modes=\n", "scatter_beta=0.1\n"):
         cfg = write_cfg(tmp_path, empty)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     # a score model whose output is NaN: the sampler's output never reaches the CSV

@@ -91,7 +91,7 @@ def test_backward_matches_finite_differences():
 def test_adam_zero_grad_is_noop():
     net = Mlp([2, 4, 1], rng=np.random.default_rng(0))
     before = [p.copy() for p in net.params]
-    state = AdamState.for_params(net.params)
+    state = AdamState(net.params)
     adam_step(net.params, [np.zeros_like(p) for p in net.params], state, lr=0.1)
     for p, b in zip(net.params, before):
         np.testing.assert_array_equal(p, b)
@@ -103,7 +103,7 @@ def test_adam_first_step_magnitude():
     p = np.array([1.0, -2.0, 0.5])
     params = [p]
     g = np.array([100.0, -0.003, 1e-9])
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     before = p.copy()
     adam_step(params, [g], state, lr=0.01)
     delta = p - before
@@ -117,7 +117,7 @@ def test_adam_minimizes_quadratic():
     target = np.array([3.0, -1.0])
     p = np.zeros(2)
     params = [p]
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     for _ in range(2000):
         g = 2.0 * (p - target)
         adam_step(params, [g], state, lr=0.05)
@@ -126,7 +126,7 @@ def test_adam_minimizes_quadratic():
 
 def test_adam_shape_mismatch():
     p = np.zeros(3)
-    state = AdamState.for_params([p])
+    state = AdamState([p])
     with pytest.raises(ValueError):
         adam_step([p], [np.zeros(4)], state, lr=0.1)
     with pytest.raises(ValueError):
