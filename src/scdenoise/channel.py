@@ -50,11 +50,15 @@ def complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
 
 def snr_to_sigma(snr_db: float) -> float:
     """Channel noise std (total complex) for a given SNR in dB, at P = 1.
-    Raises ValueError for a NaN or infinite SNR, and for one so high that
-    the noise std underflows to 0 (above about 3235 dB)."""
+    Raises ValueError for a NaN or infinite SNR, for one so high that the
+    noise std underflows to 0 (above about 3235 dB) and for one so low that
+    the noise variance overflows a float (below about -3083 dB)."""
     if not np.isfinite(snr_db):
         raise ValueError(f"SNR must be finite, got {snr_db} dB")
-    sigma = float(np.sqrt(10.0 ** (-snr_db / 10.0)))
+    try:
+        sigma = float(np.sqrt(10.0 ** (-snr_db / 10.0)))
+    except OverflowError:
+        raise ValueError(f"SNR {snr_db} dB is too low: its noise variance overflows") from None
     if sigma == 0.0:
         raise ValueError(f"SNR {snr_db} dB is too high: its noise std underflows to 0")
     return sigma

@@ -40,23 +40,23 @@ class QuantizingEncoder:
 
     Source values in [-1, 1] are scaled onto the level span; even dimensions
     feed the in-phase axis, odd dimensions the quadrature axis. The scheme
-    must be a product grid of one set of levels on both axes (square QAM);
-    any other point set raises ConfigError, since per-axis quantization would
-    emit symbols that are not constellation points.
+    must share one set of levels on both axes (square QAM); any other scheme
+    (BPSK) raises ConfigError, since one level span cannot scale both axes.
     """
 
     scheme: ConstellationScheme
 
     def __post_init__(self):
-        if self.scheme.axis_levels is None:
+        re_levels, im_levels = self.scheme.axis_levels
+        if re_levels is not im_levels:
             raise ConfigError(
                 f"the quantizing encoder needs a square-QAM constellation; the "
-                f"{self.scheme.order}-point scheme is not a grid of per-axis levels"
+                f"{self.scheme.order}-point scheme's axes do not share their levels"
             )
 
     @property
     def level_span(self) -> float:
-        return float(self.scheme.axis_levels.max())
+        return float(self.scheme.axis_levels[0].max())
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:

@@ -25,23 +25,22 @@ _SUPPORTED_QAM = (4, 16, 64)
 class ConstellationScheme:
     """A modulation alphabet: M complex points plus a Gray bit mapping.
 
-    `order` (M), `axis_levels` and `grid_index` are derived from `points`.
-    `axis_levels` holds the sorted levels shared by the real and the
-    imaginary axis, when the points are exactly the product grid of those
-    levels with themselves (square QAM), and None otherwise (BPSK, any other
-    point set). On a grid, `grid_index[i, j]` is the index of the point
-    axis_levels[i] + 1j * axis_levels[j], whatever order the points are in.
+    The points must be the product grid of their distinct real and imaginary
+    parts, each point once (BPSK is the 2 x 1 grid {-1, 1} x {0}); any other
+    point set, such as QPSK rotated by 45 degrees, raises ValueError. Derived
+    from `points`: `order` (M); `axis_levels`, the sorted (real, imaginary)
+    levels, one shared array when both axes have the same levels (square
+    QAM); and `grid_index[i, j]`, the index of the point
+    axis_levels[0][i] + 1j * axis_levels[1][j].
     """
 
     points: np.ndarray  # complex128, shape (M,)
     bit_map: tuple[str, ...]  # length M, each log2(M) chars of '0'/'1'
     order: int = field(init=False)
-    axis_levels: np.ndarray | None = field(
+    axis_levels: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False
     )
-    grid_index: np.ndarray | None = field(
-        init=False, repr=False, compare=False
-    )
+    grid_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.complex128)
@@ -52,18 +51,20 @@ class ConstellationScheme:
         re = sorted(set(points.real.tolist()))
         im = sorted(set(points.imag.tolist()))
         # distinct points whose parts come from the levels fill the grid iff
-        # there are exactly |levels|^2 of them
-        is_grid = re == im and len(set(points.tolist())) == points.size == len(re) ** 2
-        levels = index = None
-        if is_grid:
-            levels = np.array(re)
-            position = {level: i for i, level in enumerate(re)}
-            index = np.empty((len(re), len(re)), dtype=np.intp)
-            for m, p in enumerate(points.tolist()):
-                index[position[p.real], position[p.imag]] = m
-            levels.setflags(write=False)
-            index.setflags(write=False)
-        object.__setattr__(self, "axis_levels", levels)
+        # there are exactly |re| * |im| of them
+        if not len(set(points.tolist())) == points.size == len(re) * len(im):
+            raise ValueError(
+                f"the {points.size} points are not the product grid of their "
+                f"{len(re)} real and {len(im)} imaginary levels"
+            )
+        re_levels = np.array(re)
+        im_levels = re_levels if im == re else np.array(im)
+        index = np.empty((len(re), len(im)), dtype=np.intp)
+        index[np.searchsorted(re_levels, points.real),
+              np.searchsorted(im_levels, points.imag)] = np.arange(points.size)
+        for array in (re_levels, im_levels, index):
+            array.setflags(write=False)
+        object.__setattr__(self, "axis_levels", (re_levels, im_levels))
         object.__setattr__(self, "grid_index", index)
 
 
@@ -113,22 +114,27 @@ def modulate(indices: np.ndarray, scheme: ConstellationScheme) -> np.ndarray:
 def demodulate_hard(values: np.ndarray, scheme: ConstellationScheme) -> np.ndarray:
     """Nearest-point (minimum Euclidean distance) detection.
 
-    On a grid (`scheme.axis_levels` set) the squared distance is a sum over
-    the two axes, so each coordinate of the interleaved float64 view goes to
-    the level l minimizing (x - l)^2 and `scheme.grid_index` maps the (re, im)
-    level pair to the point index; no (..., M) distance array is made. A
-    coordinate exactly between two levels goes to the lower level. On
-    `build_square_qam`'s row-major order that is the lowest point index,
-    which is what the M-point argmin gives. Any other point set (BPSK
-    included) takes that argmin over the squared distances to all M points,
-    ties going to the lowest index.
+    The squared distance to a grid point is a sum over the two axes, so each
+    coordinate goes to the nearest level on its own axis and
+    `scheme.grid_index` maps the level pair to the point index; no (..., M)
+    distance array is made. A coordinate exactly between two levels goes to
+    the lower one, on every scheme: BPSK detects Re z = 0 as the point -1.
     """
     values = np.asarray(values, dtype=np.complex128)
-    levels = scheme.axis_levels
-    if levels is None:
-        d = values[..., None] - scheme.points
-        return np.argmin(d.real**2 + d.imag**2, axis=-1)
+    re_levels, im_levels = scheme.axis_levels
     x = np.ascontiguousarray(values).reshape(-1).view(np.float64)
+    if re_levels is im_levels:
+        # one pass over the interleaved view: on 2048 64-QAM symbols it took
+        # 119 us against 205 us for two strided passes
+        k = _nearest_level(x, re_levels)
+        i, j = k[0::2], k[1::2]
+    else:
+        i, j = _nearest_level(x[0::2], re_levels), _nearest_level(x[1::2], im_levels)
+    return scheme.grid_index[i, j].reshape(values.shape)
+
+
+def _nearest_level(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Index of the level nearest each coordinate of x (1-D), ties to the lower."""
     d2 = levels[:, None] - x
     d2 *= d2
     # argmin over axis 0 in whole-row passes (np.argmin along axis 0 runs
@@ -140,4 +146,4 @@ def demodulate_hard(values: np.ndarray, scheme: ConstellationScheme) -> np.ndarr
     for row in d2[:-1]:
         before &= row > d2_min
         k += before
-    return scheme.grid_index[k[0::2], k[1::2]].reshape(values.shape)
+    return k

@@ -140,9 +140,9 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
 
 def check_training(steps: int, batch_size: int, learning_rate: float) -> None:
     """Raise ValueError unless steps and batch_size are at least 1 and
-    learning_rate is positive; a NaN rate is not positive."""
-    if not learning_rate > 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    learning_rate is finite and positive (NaN is neither)."""
+    if not 0 < learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
     if batch_size < 1 or steps < 1:
         raise ValueError("batch_size and steps must each be at least 1")
 

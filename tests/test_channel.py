@@ -24,6 +24,10 @@ def test_snr_to_sigma_values():
     assert snr_to_sigma(0.0) == pytest.approx(1.0)
     assert snr_to_sigma(-18.0) == pytest.approx(7.943282347242816, rel=1e-12)
     assert snr_to_sigma(18.0) == pytest.approx(0.12589254117941673, rel=1e-12)
+    # the noise variance 10^(-SNR/10) overflows a float below about -3083 dB
+    assert snr_to_sigma(-3080.0) == pytest.approx(1e154, rel=1e-12)
+    with pytest.raises(ValueError, match="SNR -3090.0 dB is too low"):
+        snr_to_sigma(-3090.0)
 
 
 def test_awgn_zero_sigma_identity():

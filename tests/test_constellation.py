@@ -102,8 +102,13 @@ def test_demodulate_nearest_and_tiebreak():
     scheme = build_bpsk()
     assert demodulate_hard(np.array([0.1 + 0j]), scheme)[0] == 0
     assert demodulate_hard(np.array([-0.1 + 0j]), scheme)[0] == 1
-    # exactly equidistant: lowest index wins
-    assert demodulate_hard(np.array([0.0 + 0j]), scheme)[0] == 0
+    # exactly equidistant: the lower level, -1, wins, as on every scheme
+    assert demodulate_hard(np.array([0.0 + 0j]), scheme)[0] == 1
+    # off the tie, per-axis detection is the nearest of all points
+    rng = np.random.default_rng(2)
+    values = 3.0 * (rng.standard_normal(512) + 1j * rng.standard_normal(512))
+    assert np.array_equal(demodulate_hard(values, scheme),
+                          _nearest_of_all_points(values, scheme))
 
 
 def _nearest_of_all_points(values, scheme):
@@ -121,16 +126,40 @@ def _permuted(scheme, seed):
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_grid_index_maps_level_pairs_to_points(order):
     for scheme in (build_square_qam(order), _permuted(build_square_qam(order), order)):
-        levels = scheme.axis_levels
-        assert np.array_equal(scheme.points[scheme.grid_index], levels[:, None] + 1j * levels)
-    assert build_bpsk().grid_index is None
+        re_levels, im_levels = scheme.axis_levels
+        assert re_levels is im_levels  # square QAM: one shared array
+        assert np.array_equal(scheme.points[scheme.grid_index],
+                              re_levels[:, None] + 1j * im_levels)
+    # BPSK is the 2 x 1 grid {-1, 1} x {0}
+    bpsk = build_bpsk()
+    np.testing.assert_array_equal(bpsk.axis_levels[0], [-1.0, 1.0])
+    np.testing.assert_array_equal(bpsk.axis_levels[1], [0.0])
+    np.testing.assert_array_equal(bpsk.grid_index, [[1], [0]])
+
+
+def test_non_product_point_sets_rejected():
+    qam4 = build_square_qam(4).points
+    bad = {
+        # QPSK rotated by 45 degrees puts its points on the axes
+        "rotated": np.exp(0.25j * np.pi) * qam4,
+        "duplicate": np.array([1.0, 1.0, -1.0, -1.0]),
+        "three corners": qam4[:3],
+    }
+    for points in bad.values():
+        with pytest.raises(ValueError, match="not the product grid"):
+            ConstellationScheme(points=points, bit_map=("",) * points.size)
+    # a rectangular grid is accepted, with its own levels per axis
+    rect = ConstellationScheme(points=np.array([-1, 1, -1 - 1j, 1 - 1j, -1 + 2j, 1 + 2j]),
+                               bit_map=("",) * 6)
+    np.testing.assert_array_equal(rect.axis_levels[0], [-1.0, 1.0])
+    np.testing.assert_array_equal(rect.axis_levels[1], [-1.0, 0.0, 2.0])
+    assert np.array_equal(demodulate_hard(rect.points + 0.1, rect), np.arange(6))
 
 
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_demodulate_per_axis_matches_all_points(order):
     scheme = build_square_qam(order)
-    assert scheme.axis_levels is not None
-    levels = scheme.axis_levels
+    levels = scheme.axis_levels[0]
     rng = np.random.default_rng(order)
     # every midpoint between adjacent levels with its two neighbouring floats,
     # so the exact ties (m - a)^2 == (m - b)^2 are among them wherever rounding

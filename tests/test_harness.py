@@ -339,11 +339,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--trials", "0", "--out", str(tmp_path / "x.csv")]) == 2
     for cmd in (["train-score", "--steps", "0"], ["joint-train", "--steps", "0"],
                 ["joint-train", "--order", "4", "--batch-size", "0"],
-                # a non-positive or NaN learning rate, and a layer of width 0
+                # a non-positive, NaN or infinite learning rate, and a layer of width 0
                 ["joint-train", "--order", "4", "--steps", "1", "--learning-rate", "0"],
                 ["joint-train", "--order", "4", "--steps", "1", "--learning-rate=-1e-3"],
                 ["joint-train", "--order", "4", "--steps", "1", "--learning-rate", "nan"],
                 ["train-score", "--steps", "1", "--learning-rate", "nan"],
+                ["joint-train", "--order", "4", "--steps", "1", "--learning-rate", "inf"],
+                ["train-score", "--steps", "1", "--learning-rate", "inf"],
                 ["train-score", "--steps", "1", "--hidden", "8,0"],
                 ["joint-train", "--order", "4", "--steps", "1", "--source-dim", "0"]):
         assert main([*cmd, "--out", str(tmp_path / "zero.npz")]) == 2
@@ -356,6 +358,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # an SNR so high that its noise std underflows to 0 is refused by name too
     assert main(["denoise", "--order", "4", "--snr-db", "7000"]) == 2
     assert "SNR 7000.0 dB is too high" in capsys.readouterr().err
+    # and one so low that its noise variance overflows a float
+    assert main(["denoise", "--order", "4", "--snr-db", "-7000"]) == 2
+    assert "SNR -7000.0 dB is too low" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, "snr_grid=nan\n")
     out = tmp_path / "nan_snr.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2

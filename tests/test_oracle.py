@@ -7,17 +7,57 @@ from scdenoise.channel import snr_to_sigma
 from scdenoise.constellation import ConstellationScheme, build_bpsk, build_square_qam
 from scdenoise.oracle import (
     _axis_mean,
+    _hermite_rule,
     log_density,
     mixture_score,
     mmse_bound,
     oracle_score_fn,
     posterior_mean,
-    posterior_weights,
 )
 
 # The BPSK posterior-mean error at sigma = 1, pinned from an independent
 # numerical-integration run of E[(1 - tanh(2y))^2] with y ~ N(1, 1/2).
 BPSK_MMSE_SIGMA1 = 0.231018
+
+
+# The M-point references: the mixture over all points, with no per-axis
+# factorization.
+
+
+def _reference_mean(z, sigma, points):
+    """Posterior mean over all points, weighted by the softmax of
+    -|z - z_m|^2 / sigma^2."""
+    d = np.asarray(z, dtype=np.complex128)[..., None] - points
+    a = -(d.real**2 + d.imag**2) / sigma**2
+    a -= np.max(a, axis=-1, keepdims=True)
+    w = np.exp(a)
+    w /= np.sum(w, axis=-1, keepdims=True)
+    return np.sum(w * points, axis=-1)
+
+
+def _reference_log_density(z, sigma, points):
+    """log of (1/M) sum_m exp(-|z - z_m|^2 / sigma^2) / (pi sigma^2), by log-sum-exp."""
+    d = np.asarray(z, dtype=np.complex128)[..., None] - points
+    a = -(d.real**2 + d.imag**2) / sigma**2
+    amax = np.max(a, axis=-1)
+    lse = amax + np.log(np.sum(np.exp(a - amax[..., None]), axis=-1))
+    return lse - np.log(points.size * np.pi * sigma**2)
+
+
+def _reference_product_floor(sigma, scheme):
+    """The K x K product rule over both axes at z = z_m + sigma (t_i + j t_j),
+    through the M-point posterior mean; in blocks of 256 nodes, so that the
+    (256, M) temporaries stay in cache (twice as fast on 64-QAM as whole
+    (K^2, M) arrays)."""
+    t, w = _hermite_rule()
+    noise = sigma * (t[:, None] + 1j * t).ravel()
+    weights = np.outer(w, w).ravel()
+    total = 0.0
+    for zm in scheme.points:
+        for i in range(0, noise.size, 256):
+            err = zm - _reference_mean(zm + noise[i:i + 256], sigma, scheme.points)
+            total += (err.real**2 + err.imag**2) @ weights[i:i + 256]
+    return float(total / scheme.order)
 
 
 def single_point_scheme(z1=0.3 - 0.7j):
@@ -58,24 +98,25 @@ def test_log_density_far_field_stable():
 def test_sigma_validation():
     scheme = build_bpsk()
     z = np.array([0.1 + 0.1j])
-    for fn in (log_density, mixture_score, posterior_mean, posterior_weights):
+    for fn in (log_density, mixture_score, posterior_mean):
         with pytest.raises(ValueError):
             fn(z, 0.0, scheme)
         with pytest.raises(ValueError):
             fn(z, -1.0, scheme)
 
 
-def test_posterior_weights_normalized():
+def test_posterior_mean_within_levels():
     scheme = build_square_qam(64)
+    levels = scheme.axis_levels[0]
     rng = np.random.default_rng(1)
     z = 3.0 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
     for sigma in (0.05, 1.0, 8.0):
-        w = posterior_weights(z, sigma, scheme)
-        np.testing.assert_allclose(np.sum(w, axis=-1), 1.0, atol=1e-12)
-        assert np.all(w >= 0)
+        # a mean under non-negative weights that sum to 1 stays within the levels
+        x = posterior_mean(z, sigma, scheme).view(np.float64)
+        assert np.all(x >= levels[0] - 1e-12) and np.all(x <= levels[-1] + 1e-12)
     # far from everything at small sigma the nearest point takes all the mass
-    w = posterior_weights(np.array([100.0 + 100.0j]), 0.1, scheme)
-    assert np.max(w) == pytest.approx(1.0, abs=1e-12)
+    got = posterior_mean(np.array([100.0 + 100.0j]), 0.1, scheme)[0]
+    assert got == pytest.approx(levels[-1] * (1.0 + 1.0j), abs=1e-12)
 
 
 def test_mixture_score_single_point():
@@ -160,27 +201,33 @@ def test_oracle_score_fn_matches_direct_call():
     np.testing.assert_array_equal(fn(z, 0.7), mixture_score(z, 0.7, scheme))
 
 
+# QPSK rotated by 45 degrees is not the product grid of its real and
+# imaginary parts, so it is refused as a scheme. It is served in 4-QAM's
+# frame, which this rotation maps onto its points: the isotropic noise is
+# unchanged by a rotation.
+QPSK_ROTATION = np.exp(0.25j * np.pi)
+
+
 def _scheme(name):
+    if name == "qpsk_rot45":
+        with pytest.raises(ValueError, match="product grid"):
+            ConstellationScheme(points=QPSK_ROTATION * build_square_qam(4).points,
+                                bit_map=("00", "01", "10", "11"))
+        return build_square_qam(4)
     return {
         "bpsk": build_bpsk,
         "qam4": lambda: build_square_qam(4),
         "qam16": lambda: build_square_qam(16),
         "qam64": lambda: build_square_qam(64),
-        "qpsk_rot45": _rotated_qpsk,
     }[name]()
-
-
-def _rotated_qpsk():
-    points = np.exp(0.25j * np.pi) * build_square_qam(4).points
-    return ConstellationScheme(points=points, bit_map=("00", "01", "10", "11"))
 
 
 def _equivalence_input(shape):
     rng = np.random.default_rng(11)
     if shape == "far":
         # |z| = 200, kept off the axes: next to an axis the reference's
-        # |z - z_m|^2 ~ 4e4 rounds away the small coordinate, so the general
-        # path, not the per-axis one, would be the inaccurate side
+        # |z - z_m|^2 ~ 4e4 rounds away the small coordinate, so the M-point
+        # reference, not the per-axis oracle, would be the inaccurate side
         theta = 0.25 * np.pi + 0.5 * np.pi * np.arange(8) + rng.uniform(-0.3, 0.3, 8)
         return 200.0 * np.exp(1j * theta)
     return 1.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -191,30 +238,26 @@ def _equivalence_input(shape):
 @pytest.mark.parametrize("name", ["bpsk", "qam4", "qam16", "qam64", "qpsk_rot45"])
 def test_per_axis_path_matches_general_path(name, sigma, shape):
     scheme = _scheme(name)
-    assert (scheme.axis_levels is None) == (name in ("bpsk", "qpsk_rot45"))
+    re_levels, im_levels = scheme.axis_levels
+    assert (re_levels is im_levels) == (name != "bpsk")
+    rot = QPSK_ROTATION if name == "qpsk_rot45" else 1.0
     z = _equivalence_input(shape)
-    # the general M-point path: posterior weights over all points
-    ref_mean = np.sum(posterior_weights(z, sigma, scheme) * scheme.points, axis=-1)
+    ref_mean = _reference_mean(z, sigma, rot * scheme.points)
     ref_score = (2.0 / sigma**2) * (ref_mean - z)
-    for got, ref in ((posterior_mean(z, sigma, scheme), ref_mean),
-                     (mixture_score(z, sigma, scheme), ref_score)):
+    ref_log_density = _reference_log_density(z, sigma, rot * scheme.points)
+    for got, ref in ((rot * posterior_mean(z / rot, sigma, scheme), ref_mean),
+                     (rot * mixture_score(z / rot, sigma, scheme), ref_score),
+                     (log_density(z / rot, sigma, scheme), ref_log_density)):
         assert got.shape == np.shape(z)
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
-def _general_path(scheme):
-    """The same points with the per-axis path switched off."""
-    out = ConstellationScheme(points=scheme.points, bit_map=scheme.bit_map)
-    object.__setattr__(out, "axis_levels", None)
-    return out
-
-
-@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize("order", [2, 4, 16, 64])
 def test_mmse_bound_per_axis_matches_general_path(order):
-    grid = build_square_qam(order)
-    general = _general_path(grid)
+    scheme = build_bpsk() if order == 2 else build_square_qam(order)
     for sigma in (0.05, 0.3, 1.0, 3.0, 8.0):
-        assert mmse_bound(sigma, grid) == pytest.approx(mmse_bound(sigma, general), rel=1e-10)
+        assert mmse_bound(sigma, scheme) == pytest.approx(
+            _reference_product_floor(sigma, scheme), rel=1e-10)
 
 
 def _dense_floor(sigma, levels, axes):
@@ -241,7 +284,7 @@ def _reference_floor(name, sigma):
         return _dense_floor(sigma, np.array([-1.0, 1.0]), axes=1)
     # a rotation leaves the isotropic noise unchanged: QPSK's floor is 4-QAM's
     order = 4 if name == "qpsk_rot45" else int(name[3:])
-    return _dense_floor(sigma, build_square_qam(order).axis_levels, axes=2)
+    return _dense_floor(sigma, build_square_qam(order).axis_levels[0], axes=2)
 
 
 @pytest.mark.parametrize("name", ["bpsk", "qam4", "qam16", "qam64", "qpsk_rot45"])
@@ -279,7 +322,7 @@ def _axis_mean_unclamped(x, sigma, levels):
 @pytest.mark.parametrize("sigma", [0.003, 0.01, 0.0215, 0.0334, 0.05])
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_axis_mean_exp_floor_changes_nothing(order, sigma):
-    levels = build_square_qam(order).axis_levels
+    levels = build_square_qam(order).axis_levels[0]
     rng = np.random.default_rng(int(order / sigma))
     x = np.concatenate([1.5 * rng.standard_normal(4096),
                         rng.choice(levels, 1024) + sigma * rng.standard_normal(1024)])
@@ -295,3 +338,15 @@ def test_axis_mean_exp_floor_changes_nothing(order, sigma):
     assert np.max(np.abs(_axis_mean(zero, sigma, levels) - ref)) <= 1e-290
     score = mixture_score(np.array([0.0 + 0.0j]), sigma, build_square_qam(order))
     assert abs(score[0].real - (2.0 / sigma**2) * ref[0]) <= (2.0 / sigma**2) * 1e-290
+
+
+def test_posterior_mean_keeps_small_offset_far_away():
+    # each coordinate is resolved on its own axis, so a large real part does
+    # not round away a small imaginary one: for levels +-a the mean is
+    # a tanh(2 a y / sigma^2), -4.9e-10 here
+    scheme = build_square_qam(4)
+    a = scheme.axis_levels[1][-1]
+    y = -4.9e-14
+    got = posterior_mean(np.array([200.0 + 1j * y]), 0.01, scheme)[0]
+    assert got.real == a
+    assert got.imag == pytest.approx(a * np.tanh(2.0 * a * y / 0.01**2), rel=1e-12)

@@ -191,6 +191,8 @@ def test_config_validation():
     sched = small_schedule()
     with pytest.raises(ValueError):
         DsmConfig(schedule=sched, learning_rate=0.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        DsmConfig(schedule=sched, learning_rate=float("inf"))
     with pytest.raises(ValueError):
         DsmConfig(schedule=sched, batch_size=0)
     with pytest.raises(ValueError):
