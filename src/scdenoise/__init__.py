@@ -17,7 +17,7 @@ from .constellation import (
     demodulate_hard,
     modulate,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 from .metrics import mse, ser
 from .oracle import (
     log_density,

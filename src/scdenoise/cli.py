@@ -15,37 +15,29 @@ import numpy as np
 from . import codec, score_model, sweep as sweep_mod
 from .channel import awgn_transmit, snr_to_sigma, stream_rng
 from .constellation import modulate
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 from .metrics import mse
 from .oracle import mixture_score, oracle_score_fn
 from .sampler import pc_sample
 from .sweep import write_csv
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--config", default=None, help="key=value config file")
+# the ExperimentConfig fields that subcommands also take as flags, each
+# stored under its field name (so --seed stores to master_seed)
+FLAG_FIELDS = ("order", "trials", "n_symbols", "master_seed", "checkpoint", "modes")
 
 
 def _experiment_config(args) -> sweep_mod.ExperimentConfig:
-    mapping = {}
-    if args.config:
-        mapping.update(sweep_mod.parse_config_file(args.config))
-    for key in ("order", "trials", "n_symbols"):
+    mapping = sweep_mod.parse_config_file(args.config) if args.config else {}
+    for key in FLAG_FIELDS:
         value = getattr(args, key, None)
-        if value is not None:
+        if value is not None and value != "":  # else the config file's value stands
             mapping[key] = value
-    if args.seed is not None:
-        mapping["master_seed"] = args.seed
-    if getattr(args, "checkpoint", None):
-        mapping["checkpoint"] = args.checkpoint
-    if getattr(args, "modes", None):
-        mapping["modes"] = args.modes
     return sweep_mod.ExperimentConfig.from_mapping(mapping)
 
 
 def _score_fn_for(args, config):
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         model = score_model.load_model(args.checkpoint)
         return score_model.model_score_fn(model)
     return oracle_score_fn(config.scheme())
@@ -158,8 +150,6 @@ def cmd_score_field(args) -> int:
 def cmd_joint_train(args) -> int:
     config = _experiment_config(args)
     scheme = config.scheme()
-    if args.source_dim % 2 != 0:
-        raise ConfigError("source dimension must be even")
     enc = codec.QuantizingEncoder(scheme)
     rng = stream_rng(config.master_seed, 200)
     dec = codec.DecoderModel.build(args.source_dim // 2, args.source_dim, rng=rng)
@@ -188,81 +178,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Score-based denoising of constellation symbols over AWGN channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the shared flags, declared once each in parent parsers
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                        help="master RNG seed")
+    common.add_argument("--config", help="key=value config file")
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--order", type=int)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
 
-    p = sub.add_parser("constellation", help="dump the constellation as CSV")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_constellation)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[*parents, common])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("schedule", help="dump the sigma schedule as CSV")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_schedule)
+    command("constellation", cmd_constellation, "dump the constellation as CSV", order, out)
+    command("schedule", cmd_schedule, "dump the sigma schedule as CSV", out)
 
-    p = sub.add_parser("train-score", help="train the score network (DSM)")
-    p.add_argument("--order", type=int, default=None)
+    p = command("train-score", cmd_train_score, "train the score network (DSM)", order, out)
     p.add_argument("--steps", type=int, default=20000)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--learning-rate", type=float, default=5e-3)
     p.add_argument("--hidden", default="64,64")
-    p.add_argument("--out", required=True)
-    p.add_argument("--trace", default=None, help="loss trace CSV path")
-    _add_common(p)
-    p.set_defaults(func=cmd_train_score)
+    p.add_argument("--trace", help="loss trace CSV path")
 
-    p = sub.add_parser("eval", help="compare a checkpoint against the exact score")
-    p.add_argument("--order", type=int, default=None)
+    p = command("eval", cmd_eval, "compare a checkpoint against the exact score", order)
     p.add_argument("--checkpoint", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("denoise", help="denoise one simulated transmission")
-    p.add_argument("--order", type=int, default=None)
+    p = command("denoise", cmd_denoise, "denoise one simulated transmission", order)
     p.add_argument("--snr-db", type=float, required=True)
-    p.add_argument("--n-symbols", dest="n_symbols", type=int, default=None)
-    p.add_argument("--checkpoint", default=None, help="score checkpoint (default: oracle)")
-    p.add_argument("--trace", default=None, help="per-level mse trace CSV path")
-    _add_common(p)
-    p.set_defaults(func=cmd_denoise)
+    p.add_argument("--n-symbols", type=int)
+    p.add_argument("--checkpoint", help="score checkpoint (default: oracle)")
+    p.add_argument("--trace", help="per-level mse trace CSV path")
 
-    p = sub.add_parser("sweep", help="run the SNR sweep and write CSV")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--modes", default=None, help="comma-separated sweep modes")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    p = command("sweep", cmd_sweep, "run the SNR sweep and write CSV", order, out)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--modes", help="comma-separated sweep modes")
+    p.add_argument("--checkpoint")
 
-    p = sub.add_parser("scatter", help="forward-scatter data at one diffusion step")
-    p.add_argument("--order", type=int, default=None)
+    p = command("scatter", cmd_scatter, "forward-scatter data at one diffusion step", order, out)
     p.add_argument("--step", type=int, required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_scatter)
 
-    p = sub.add_parser("score-field", help="dump the exact score vector field")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_score_field)
+    command("score-field", cmd_score_field, "dump the exact score vector field", order, out)
 
-    p = sub.add_parser("joint-train", help="stage-2 decoder training")
-    p.add_argument("--order", type=int, default=None)
+    p = command("joint-train", cmd_joint_train, "stage-2 decoder training", order, out)
     p.add_argument("--source-dim", type=int, default=16)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     score = p.add_mutually_exclusive_group()
-    score.add_argument("--checkpoint", default=None, help="score checkpoint (default: oracle)")
+    score.add_argument("--checkpoint", help="score checkpoint (default: oracle)")
     score.add_argument("--raw-baseline", action="store_true",
                        help="train on raw noisy symbols instead of denoised ones")
-    p.add_argument("--out", required=True)
-    p.add_argument("--trace", default=None, help="training trace CSV path")
-    _add_common(p)
-    p.set_defaults(func=cmd_joint_train)
-
+    p.add_argument("--trace", help="training trace CSV path")
     return parser
 
 
@@ -277,7 +246,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # ConfigError included
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import NoiseSchedule, forward_diffuse
 from .constellation import ConstellationScheme, demodulate_hard
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 from .mlp import AdamState, Mlp, adam_step, check_training, load_checkpoint, save_checkpoint
 from .sampler import SamplerConfig, denoise_from_level
 
@@ -41,7 +41,7 @@ class QuantizingEncoder:
     Source values in [-1, 1] are scaled onto the level span; even dimensions
     feed the in-phase axis, odd dimensions the quadrature axis. The scheme
     must share one set of levels on both axes (square QAM); any other scheme
-    (BPSK) raises ConfigError, since one level span cannot scale both axes.
+    (BPSK) raises ValueError, since one level span cannot scale both axes.
     """
 
     scheme: ConstellationScheme
@@ -49,7 +49,7 @@ class QuantizingEncoder:
     def __post_init__(self):
         re_levels, im_levels = self.scheme.axis_levels
         if re_levels is not im_levels:
-            raise ConfigError(
+            raise ValueError(
                 f"the quantizing encoder needs a square-QAM constellation; the "
                 f"{self.scheme.order}-point scheme's axes do not share their levels"
             )
@@ -136,7 +136,8 @@ def joint_train(
     """
     d = dec.source_dim
     if 2 * dec.n_symbols != d:
-        raise ValueError("decoder shape must pair two source dims per symbol")
+        raise ValueError(f"source dimension {d} must be two per symbol of the decoder's "
+                         f"{dec.n_symbols}-symbol input")
     state = AdamState(dec.net.params)
     trace = np.empty((config.steps, 2))
     for step in range(config.steps):

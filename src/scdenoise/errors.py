@@ -1,8 +1,5 @@
-"""Shared exception types."""
-
-
-class ConfigError(ValueError):
-    """Invalid configuration or command-line input (CLI exit code 2)."""
+"""The package's own exception type. Invalid configuration or input raises
+the built-in ValueError instead (CLI exit code 2)."""
 
 
 class DivergenceError(RuntimeError):

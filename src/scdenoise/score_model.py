@@ -176,7 +176,8 @@ def relative_score_error(score_fn, scheme: ConstellationScheme) -> float:
     """Aggregate relative L2 distance to the exact mixture score.
 
     sqrt( sum |s_fn - s_exact|^2 / sum |s_exact|^2 ) over a 25 x 25 grid on
-    [-3, 3]^2 at each sigma in EVAL_SIGMAS.
+    [-3, 3]^2 at each sigma in EVAL_SIGMAS. A non-finite result (a diverged
+    score) raises DivergenceError.
     """
     axis = np.linspace(-3.0, 3.0, 25)
     re, im = np.meshgrid(axis, axis, indexing="ij")
@@ -188,4 +189,7 @@ def relative_score_error(score_fn, scheme: ConstellationScheme) -> float:
         approx = score_fn(z, sigma)
         num += float(np.sum(np.abs(approx - exact) ** 2))
         den += float(np.sum(np.abs(exact) ** 2))
-    return float(np.sqrt(num / den))
+    rel = float(np.sqrt(num / den))
+    if not np.isfinite(rel):
+        raise DivergenceError(f"non-finite relative score error {rel}")
+    return rel

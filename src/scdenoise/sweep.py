@@ -26,7 +26,6 @@ from .channel import (
     vp_forward_reference,
 )
 from .constellation import build_bpsk, build_square_qam, demodulate_hard, modulate
-from .errors import ConfigError
 from .metrics import mse, ser
 from .oracle import mmse_bound, oracle_score_fn, posterior_mean
 from .sampler import SamplerConfig, pc_sample
@@ -74,14 +73,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials}")
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.n_symbols < 1:
-            raise ConfigError(f"n_symbols must be at least 1, got {self.n_symbols}")
+            raise ValueError(f"n_symbols must be at least 1, got {self.n_symbols}")
         if not self.snr_grid or not self.modes:
-            raise ConfigError("snr_grid and modes must each name at least one value")
+            raise ValueError("snr_grid and modes must each name at least one value")
         for mode in self.modes:
             if mode not in SWEEP_MODES:
-                raise ConfigError(f"unknown sweep mode {mode!r}")
+                raise ValueError(f"unknown sweep mode {mode!r}")
 
     def scheme(self):
         if self.order == 2:
@@ -101,7 +100,7 @@ class ExperimentConfig:
         kwargs = {}
         for key, value in mapping.items():
             if key not in hints:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             kwargs[key] = _coerce(key, value, hints[key])
         return cls(**kwargs)
 
@@ -119,7 +118,7 @@ def _coerce(key: str, value, hint):
             return args[0](value) if value else None
         return hint(value)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+        raise ValueError(f"bad value for {key!r}: {value!r}") from exc
 
 
 def parse_config_file(path: str) -> dict:
@@ -131,7 +130,7 @@ def parse_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
+                raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
@@ -151,7 +150,7 @@ def run_sweep(config: ExperimentConfig):
         score_fns["oracle_pc"] = oracle_score_fn(scheme)
     if "learned_pc" in config.modes:
         if config.checkpoint is None:
-            raise ConfigError("learned_pc mode requires a checkpoint")
+            raise ValueError("learned_pc mode requires a checkpoint")
         model = score_model.load_model(config.checkpoint)
         score_fns["learned_pc"] = score_model.model_score_fn(model)
 
@@ -219,7 +218,7 @@ def emit_scatter(config: ExperimentConfig, step: int, path: str) -> None:
     shrinks them toward the origin."""
     sched = config.schedule()
     if not 1 <= step <= sched.n_steps:
-        raise ConfigError(f"scatter step {step} outside [1, {sched.n_steps}]")
+        raise ValueError(f"scatter step {step} outside [1, {sched.n_steps}]")
     scheme = config.scheme()
     rng = stream_rng(config.master_seed, 9000, step)
     idx = rng.integers(0, scheme.order, size=config.scatter_trials)

@@ -15,7 +15,6 @@ from scdenoise.codec import (
     save_decoder,
 )
 from scdenoise.constellation import build_bpsk, build_square_qam
-from scdenoise.errors import ConfigError
 from scdenoise.mlp import Mlp
 from scdenoise.oracle import oracle_score_fn
 from scdenoise.sampler import SamplerConfig, pc_sample
@@ -39,7 +38,7 @@ def test_encoder_rejects_non_grid_schemes():
     # level 0, so one level span cannot scale both source dimensions of a
     # pair. (Point sets that are no grid at all are refused when the scheme
     # is built; tests/test_constellation.py.)
-    with pytest.raises(ConfigError, match="square-QAM"):
+    with pytest.raises(ValueError, match="needs a square-QAM constellation"):
         QuantizingEncoder(build_bpsk())
 
 

@@ -1,12 +1,14 @@
 """Tests for metrics, the sweep runner, config parsing, and the CLI."""
 
+import argparse
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from scdenoise.channel import awgn_transmit, complex_noise, snr_to_sigma, stream_rng
-from scdenoise.cli import main
+from scdenoise.cli import build_parser, main
 from scdenoise.codec import (
     DecoderModel,
     JointTrainConfig,
@@ -15,7 +17,6 @@ from scdenoise.codec import (
     load_decoder,
 )
 from scdenoise.constellation import demodulate_hard, modulate
-from scdenoise.errors import ConfigError
 from scdenoise.metrics import mse, ser
 from scdenoise.mlp import Mlp
 from scdenoise.oracle import mmse_bound, oracle_score_fn, posterior_mean
@@ -71,14 +72,17 @@ def test_config_from_mapping_and_validation():
     assert cfg.order == 16
     assert cfg.snr_grid == (-6.0, 0.0, 6.0)
     assert cfg.sigma_min == pytest.approx(0.02)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown config key 'no_such_key'"):
         ExperimentConfig.from_mapping({"no_such_key": "1"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="bad value for 'trials': 'many'"):
         ExperimentConfig.from_mapping({"trials": "many"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown sweep mode 'telepathy'"):
         ExperimentConfig.from_mapping({"modes": "raw,telepathy"})
-    for empty in ({"trials": "0"}, {"n_symbols": "0"}, {"snr_grid": ""}, {"modes": ""}):
-        with pytest.raises(ConfigError):
+    for empty, message in (({"trials": "0"}, "trials must be at least 1, got 0"),
+                           ({"n_symbols": "0"}, "n_symbols must be at least 1, got 0"),
+                           ({"snr_grid": ""}, "snr_grid and modes must each name at least one"),
+                           ({"modes": ""}, "snr_grid and modes must each name at least one")):
+        with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_mapping(empty)
     # every field parses from its default written as a string
     default = ExperimentConfig()
@@ -99,7 +103,7 @@ def test_parse_config_file(tmp_path):
     assert parsed == {"order": "16", "trials": "3", "snr_grid": "-6,0"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("order 16\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:1: expected key=value")):
         parse_config_file(str(bad))
 
 
@@ -181,7 +185,7 @@ def test_run_sweep_matches_per_trial_reference():
 
 def test_run_sweep_learned_requires_checkpoint():
     cfg = tiny_config(modes=("learned_pc",))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="learned_pc mode requires a checkpoint"):
         run_sweep(cfg)
 
 
@@ -213,9 +217,9 @@ def test_emit_scatter(tmp_path):
     assert len(lines) == 1 + 2 * 200
     modes = {line.split(",")[1] for line in lines[1:]}
     assert modes == {"scdm", "vp"}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=re.escape("scatter step 0 outside [1, 16]")):
         emit_scatter(cfg, 0, str(path))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=re.escape("scatter step 17 outside [1, 16]")):
         emit_scatter(cfg, 17, str(path))
 
 
@@ -312,8 +316,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "x.csv")]) == 2
+    # an odd source dimension leaves one value without a symbol
+    capsys.readouterr()
     assert main(["joint-train", "--order", "4", "--source-dim", "3",
                  "--out", str(tmp_path / "d.npz")]) == 2
+    assert ("source dimension 3 must be two per symbol of the decoder's 1-symbol input"
+            in capsys.readouterr().err)
     # the quantizing encoder has no per-axis levels for BPSK
     assert main(["joint-train", "--order", "2", "--steps", "1",
                  "--out", str(tmp_path / "d.npz")]) == 2
@@ -374,11 +382,17 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     for empty in ("n_symbols=0\n", "snr_grid=\n", "modes=\n", "scatter_beta=0.1\n"):
         cfg = write_cfg(tmp_path, empty)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-    # a score model whose output is NaN: the sampler's output never reaches the CSV
+    # a score model whose output is NaN: the sampler's output never reaches
+    # the CSV, and eval prints no score error
     net = Mlp([3, 8, 2])
     net.biases[-1][:] = np.nan
     nan_ckpt = tmp_path / "nan.npz"
     save_model(str(nan_ckpt), MlpScoreModel(net=net))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(nan_ckpt)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite relative score error nan" in captured.err
     cfg = write_cfg(tmp_path, "snr_grid=0\nmmse_trials=1000\n")
     out = tmp_path / "nan.csv"
     assert main(["sweep", "--config", str(cfg), "--modes", "raw,learned_pc",
@@ -440,3 +454,63 @@ def test_cli_csv_files(tmp_path, monkeypatch, command):
                 int(cell)
             elif key not in ("mode", "bits"):
                 float(cell)
+
+
+# Every subcommand's flags: option -> (default, type, required).
+CLI_FLAGS = {
+    "constellation": {"--order": (None, int, False), "--out": (None, None, True),
+                      "--seed": (None, int, False), "--config": (None, None, False)},
+    "schedule": {"--out": (None, None, True), "--seed": (None, int, False),
+                 "--config": (None, None, False)},
+    "train-score": {"--order": (None, int, False), "--steps": (20000, int, False),
+                    "--batch-size": (256, int, False), "--learning-rate": (5e-3, float, False),
+                    "--hidden": ("64,64", None, False), "--out": (None, None, True),
+                    "--trace": (None, None, False), "--seed": (None, int, False),
+                    "--config": (None, None, False)},
+    "eval": {"--order": (None, int, False), "--checkpoint": (None, None, True),
+             "--seed": (None, int, False), "--config": (None, None, False)},
+    "denoise": {"--order": (None, int, False), "--snr-db": (None, float, True),
+                "--n-symbols": (None, int, False), "--checkpoint": (None, None, False),
+                "--trace": (None, None, False), "--seed": (None, int, False),
+                "--config": (None, None, False)},
+    "sweep": {"--order": (None, int, False), "--trials": (None, int, False),
+              "--modes": (None, None, False), "--checkpoint": (None, None, False),
+              "--out": (None, None, True), "--seed": (None, int, False),
+              "--config": (None, None, False)},
+    "scatter": {"--order": (None, int, False), "--step": (None, int, True),
+                "--out": (None, None, True), "--seed": (None, int, False),
+                "--config": (None, None, False)},
+    "score-field": {"--order": (None, int, False), "--out": (None, None, True),
+                    "--seed": (None, int, False), "--config": (None, None, False)},
+    "joint-train": {"--order": (None, int, False), "--source-dim": (16, int, False),
+                    "--steps": (2000, int, False), "--batch-size": (64, int, False),
+                    "--learning-rate": (1e-3, float, False),
+                    "--checkpoint": (None, None, False), "--raw-baseline": (False, None, False),
+                    "--out": (None, None, True), "--trace": (None, None, False),
+                    "--seed": (None, int, False), "--config": (None, None, False)},
+}
+
+
+def test_cli_flag_inventory(capsys):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(CLI_FLAGS)
+    for name, flags in CLI_FLAGS.items():
+        parser = subparsers.choices[name]
+        actions = {action.option_strings[0]: action for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction)}
+        assert set(actions) == set(flags), name
+        for flag, (default, type_, required) in flags.items():
+            action = actions[flag]
+            assert action.option_strings == [flag], (name, flag)
+            assert (action.default, action.type, action.required) == (default, type_, required), \
+                (name, flag)
+        # --seed fills the config's master seed, and --help still names it SEED
+        assert actions["--seed"].dest == "master_seed"
+        exclusive = [{action.option_strings[0] for action in group._group_actions}
+                     for group in parser._mutually_exclusive_groups]
+        assert exclusive == ([{"--checkpoint", "--raw-baseline"}] if name == "joint-train" else [])
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert "--seed SEED" in capsys.readouterr().out

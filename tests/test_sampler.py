@@ -11,7 +11,7 @@ from scdenoise.channel import (
     stream_rng,
 )
 from scdenoise.constellation import ConstellationScheme, build_bpsk, build_square_qam
-from scdenoise.errors import ConfigError, DivergenceError
+from scdenoise.errors import DivergenceError
 from scdenoise.metrics import mse
 from scdenoise.oracle import oracle_score_fn
 from scdenoise.sampler import SamplerConfig, denoise_from_level, pc_sample, predictor_step
@@ -36,12 +36,12 @@ def single_point_scheme(z1=0.5 + 0.5j):
 
 def test_config_validation():
     # the sampler has no corrector: its former knobs are rejected, not ignored,
-    # so a config file that still sets them fails with ConfigError (exit 2)
+    # so a config file that still sets them fails with ValueError (exit 2)
     sched = build_schedule(0.01, 10.0, 64)
     for key, value in (("langevin_steps", 2), ("step_scale", 0.16)):
         with pytest.raises(TypeError):
             SamplerConfig(schedule=sched, **{key: value})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             ExperimentConfig.from_mapping({key: str(value)})
 
 
