@@ -36,9 +36,11 @@ def _experiment_config(args) -> sweep_mod.ExperimentConfig:
     return sweep_mod.ExperimentConfig.from_mapping(mapping)
 
 
-def _score_fn_for(args, config):
-    if args.checkpoint:
-        model = score_model.load_model(args.checkpoint)
+def _score_fn_for(config):
+    """The learned score of config.checkpoint (from --checkpoint or the config
+    file), else the exact oracle score."""
+    if config.checkpoint:
+        model = score_model.load_model(config.checkpoint)
         return score_model.model_score_fn(model)
     return oracle_score_fn(config.scheme())
 
@@ -96,7 +98,7 @@ def cmd_eval(args) -> int:
 def cmd_denoise(args) -> int:
     config = _experiment_config(args)
     scheme = config.scheme()
-    score_fn = _score_fn_for(args, config)
+    score_fn = _score_fn_for(config)
     sampler_cfg = config.sampler_config()
     sigma_ch = snr_to_sigma(args.snr_db)
     rng = stream_rng(config.master_seed, 100)
@@ -149,6 +151,10 @@ def cmd_score_field(args) -> int:
 
 def cmd_joint_train(args) -> int:
     config = _experiment_config(args)
+    if args.raw_baseline and config.checkpoint:
+        # argparse refuses the two flags together; this catches a config file's key
+        raise ValueError("--raw-baseline takes no score checkpoint, "
+                         f"but the config names {config.checkpoint!r}")
     scheme = config.scheme()
     enc = codec.QuantizingEncoder(scheme)
     rng = stream_rng(config.master_seed, 200)
@@ -159,7 +165,7 @@ def cmd_joint_train(args) -> int:
         learning_rate=args.learning_rate,
     )
     # the raw baseline denoises nothing, so it builds no score function
-    score_fn = None if args.raw_baseline else _score_fn_for(args, config)
+    score_fn = None if args.raw_baseline else _score_fn_for(config)
     dec, trace = codec.joint_train(
         enc, dec, score_fn, config.sampler_config(), config.schedule(), train_cfg, rng
     )

@@ -19,7 +19,8 @@ import numpy as np
 from .channel import NoiseSchedule, forward_diffuse
 from .constellation import ConstellationScheme, demodulate_hard
 from .errors import DivergenceError
-from .mlp import AdamState, Mlp, adam_step, check_training, load_checkpoint, save_checkpoint
+from .mlp import (AdamState, Mlp, Workspace, adam_step, check_training, load_checkpoint,
+                  save_checkpoint)
 from .sampler import SamplerConfig, denoise_from_level
 
 __all__ = [
@@ -139,6 +140,7 @@ def joint_train(
         raise ValueError(f"source dimension {d} must be two per symbol of the decoder's "
                          f"{dec.n_symbols}-symbol input")
     state = AdamState(dec.net.params)
+    cache = Workspace()  # every step's forward and backward reuse its arrays
     trace = np.empty((config.steps, 2))
     for step in range(config.steps):
         x = rng.uniform(-1.0, 1.0, size=(config.batch_size, d))
@@ -147,7 +149,7 @@ def joint_train(
         z = forward_diffuse(z0, level, sched, rng)
         if score_fn is not None:
             z = denoise_from_level(z, level, score_fn, sampler_config, rng)
-        out, cache = dec.net.forward(_pairs(z))
+        out, cache = dec.net.forward(_pairs(z), cache)
         resid = out - x
         loss = float(np.mean(np.sum(resid**2, axis=-1)))
         if not np.isfinite(loss):

@@ -7,14 +7,20 @@ checkpoint format: a version tag, the layer sizes, the parameter arrays
 constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8; only the learning rate
 is set per call, and `check_training` is the one check of a training loop's
 step count, batch size and learning rate.
+
+A training loop owns its scratch memory. It makes one `Workspace` and passes
+it to every step's `Mlp.forward` and `Mlp.backward`, and its `AdamState`
+holds Adam's scratch arrays, so a steady-state step allocates no whole-batch
+array. A reused call overwrites what the previous step's calls returned.
+Nothing in `Mlp` keeps a workspace: a call given none allocates fresh arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Mlp", "AdamState", "adam_step", "check_training", "save_checkpoint",
-           "load_checkpoint"]
+__all__ = ["Mlp", "Workspace", "AdamState", "adam_step", "check_training",
+           "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_VERSION = 1
 
@@ -25,6 +31,28 @@ CHECKPOINT_VERSION = 1
 # page-faulted in again on the next call whenever they end up at the top of
 # the heap, which depends on what else the process has allocated.
 BLOCK_ACTIVATIONS = 8192
+
+
+class Workspace:
+    """The arrays of one forward and backward pass, kept by the caller.
+
+    `Mlp.forward` stores the layer inputs and outputs in `acts` (acts[0] is
+    the input, acts[l + 1] layer l's output) and `Mlp.backward` adds the tanh
+    derivatives, the deltas and the parameter gradients. A call reuses an
+    array only when it has the shape the call needs (same net, same batch
+    size) and otherwise puts a new one in its place.
+    """
+
+    def __init__(self):
+        self.acts: list[np.ndarray] = []
+        self._arrays: dict = {}
+
+    def array(self, key, shape) -> np.ndarray:
+        """The array kept under `key`, replaced by a new one unless it has `shape`."""
+        a = self._arrays.get(key)
+        if a is None or a.shape != shape:
+            a = self._arrays[key] = np.empty(shape)
+        return a
 
 
 class Mlp:
@@ -50,26 +78,36 @@ class Mlp:
     def params(self) -> list[np.ndarray]:
         return self.weights + self.biases
 
-    def _layers(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
-        """Run x through every layer, appending each layer's output to `acts`
-        when given. Each layer works in place on the fresh array its matmul
-        makes, so without `acts` only the current layer's array stays alive."""
+    def _layers(self, x: np.ndarray, cache: Workspace | None = None) -> np.ndarray:
+        """Run x through every layer, writing each layer's output into `cache`
+        and appending it to cache.acts when given. Each layer works in place
+        on its matmul's output, so without `cache` only the current layer's
+        array stays alive."""
         h = x
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
+            out = None if cache is None else cache.array(("act", l), (len(x), w.shape[1]))
+            h = np.matmul(h, w, out=out)
             h += b
             if l < last:
                 np.tanh(h, out=h)
-            if acts is not None:
-                acts.append(h)
+            if cache is not None:
+                cache.acts.append(h)
         return h
 
-    def forward(self, x: np.ndarray):
-        """Returns (output, cache). x has shape (batch, n_in)."""
+    def forward(self, x: np.ndarray, cache: Workspace | None = None):
+        """Returns (output, cache). x has shape (batch, n_in).
+
+        Without `cache` the call allocates a new Workspace. Given one, such
+        as the workspace a previous call returned, it writes into that
+        workspace's arrays wherever the batch size is unchanged, overwriting
+        the previous call's activations and output. The workspace keeps a
+        reference to x, which backward reads.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        acts = [x]
-        return self._layers(x, acts), acts
+        cache = Workspace() if cache is None else cache
+        cache.acts = [x]
+        return self._layers(x, cache), cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Inference: the output of `forward` without keeping its cache.
@@ -86,56 +124,72 @@ class Mlp:
         bounds = [k * rows for k in range(max(round(len(x) / rows), 1))] + [len(x)]
         return np.concatenate([self._layers(x[a:b]) for a, b in zip(bounds, bounds[1:])])
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Backpropagate d(loss)/d(output) through the cached forward pass.
+    def backward(self, cache: Workspace, grad_out: np.ndarray):
+        """Backpropagate d(loss)/d(output) through the forward pass in `cache`.
 
         Returns the parameter gradients, ordered like self.params; the
-        gradient with respect to the input is not computed.
+        gradient with respect to the input is not computed. The gradients,
+        deltas and tanh derivatives are arrays of `cache`, so the next
+        backward through the same workspace overwrites the gradients returned
+        here. grad_out is read, never written.
         """
-        acts = cache
+        acts = cache.acts
         n_layers = len(self.weights)
-        gw = [None] * n_layers
-        gb = [None] * n_layers
+        grads = [cache.array(("grad", i), p.shape) for i, p in enumerate(self.params)]
         delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
         for l in range(n_layers - 1, -1, -1):
             if l < n_layers - 1:
-                # undo the tanh: acts[l+1] is the post-activation value
-                delta = delta * (1.0 - acts[l + 1] ** 2)
-            gw[l] = acts[l].T @ delta
-            gb[l] = delta.sum(axis=0)
+                # undo the tanh: acts[l+1] is the post-activation value, and
+                # delta is the workspace's own array, so it is scaled in place
+                deriv = np.square(acts[l + 1], out=cache.array(("deriv", l), acts[l + 1].shape))
+                np.subtract(1.0, deriv, out=deriv)
+                delta *= deriv
+            np.matmul(acts[l].T, delta, out=grads[l])
+            np.sum(delta, axis=0, out=grads[n_layers + l])
             if l > 0:
-                delta = delta @ self.weights[l].T
-        return gw + gb
+                w = self.weights[l]
+                out = cache.array(("delta", l), (len(delta), w.shape[0]))
+                delta = np.matmul(delta, w.T, out=out)
+        return grads
 
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(p)) for p in self.params)
 
 
 class AdamState:
-    """Adam's first/second moment accumulators for `params`, zero at step 0."""
+    """Adam's first/second moment accumulators for `params`, zero at step 0,
+    and two scratch arrays per parameter that every `adam_step` overwrites."""
 
     def __init__(self, params):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One standard Adam update with bias correction; mutates params and state."""
+    """One standard Adam update with bias correction; mutates params and state.
+
+    Each parameter p moves by (lr * mhat) / (sqrt(vhat) + eps), computed in
+    the state's scratch arrays in that order of operations.
+    """
     if len(params) != len(grads):
         raise ValueError("parameter/gradient count mismatch")
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.t += 1
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (s, r) in zip(params, grads, state.m, state.v, state.scratch):
         if p.shape != np.shape(g):
             raise ValueError("parameter/gradient shape mismatch")
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=s)
         v *= b2
-        v += (1.0 - b2) * g**2
-        mhat = m / (1.0 - b1**state.t)
-        vhat = v / (1.0 - b2**state.t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        v += np.multiply(1.0 - b2, np.square(g, out=s), out=s)
+        mhat = np.divide(m, 1.0 - b1**state.t, out=s)
+        mhat *= lr
+        vhat = np.sqrt(np.divide(v, 1.0 - b2**state.t, out=r), out=r)
+        vhat += eps
+        mhat /= vhat
+        p -= mhat
 
 
 def check_training(steps: int, batch_size: int, learning_rate: float) -> None:

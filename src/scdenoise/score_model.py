@@ -22,7 +22,8 @@ import numpy as np
 from .channel import NoiseSchedule, complex_noise, stream_rng
 from .constellation import ConstellationScheme
 from .errors import DivergenceError
-from .mlp import AdamState, Mlp, adam_step, check_training, load_checkpoint, save_checkpoint
+from .mlp import (AdamState, Mlp, Workspace, adam_step, check_training, load_checkpoint,
+                  save_checkpoint)
 from .oracle import mixture_score
 
 __all__ = [
@@ -110,6 +111,7 @@ def dsm_loss(
     z0_batch: np.ndarray,
     sched: NoiseSchedule,
     rng: np.random.Generator,
+    cache: Workspace | None = None,
 ):
     """One DSM minibatch: corrupt z0, regress the denoiser back onto it.
 
@@ -118,7 +120,8 @@ def dsm_loss(
     the two real dimensions. This is the DSM penalty
     (sigma_i^4 / 4) * || s_theta(z_i, sigma_i) + 2 (z_i - z0) / sigma_i^2 ||^2
     with s_theta = (2 / sigma_i^2) (D - z_i). Returns (mean loss, exact
-    gradients).
+    gradients). The network's forward and backward pass run in `cache` when
+    given (see `Mlp.forward`), so the gradients are its arrays.
     """
     z0 = np.asarray(z0_batch, dtype=np.complex128).ravel()
     if z0.size == 0:
@@ -128,7 +131,7 @@ def dsm_loss(
     sigma = sched.sigmas[levels - 1]
     zi = z0 + sigma * complex_noise(rng, n)
 
-    raw, cache = model.net.forward(_features(zi, np.log(sigma))[0])
+    raw, cache = model.net.forward(_features(zi, np.log(sigma))[0], cache)
     resid = raw - z0.view(np.float64).reshape(-1, 2)
     loss = float(np.mean(np.sum(resid**2, axis=-1)))
     grads = model.net.backward(cache, (2.0 / n) * resid)
@@ -144,11 +147,12 @@ def train_score(scheme: ConstellationScheme, config: DsmConfig):
     net = Mlp([3, *config.hidden, 2], rng=rng)
     model = MlpScoreModel(net=net)
     state = AdamState(net.params)
+    cache = Workspace()  # every step's forward and backward reuse its arrays
     trace = np.empty(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, scheme.order, size=config.batch_size)
         z0 = scheme.points[idx]
-        loss, grads = dsm_loss(model, z0, config.schedule, rng)
+        loss, grads = dsm_loss(model, z0, config.schedule, rng, cache)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite DSM loss at step {step}")
         # The 1% floor keeps the final error stable across seeds.

@@ -15,9 +15,9 @@ from scdenoise.codec import (
     save_decoder,
 )
 from scdenoise.constellation import build_bpsk, build_square_qam
-from scdenoise.mlp import Mlp
+from scdenoise.mlp import AdamState, Mlp, adam_step
 from scdenoise.oracle import oracle_score_fn
-from scdenoise.sampler import SamplerConfig, pc_sample
+from scdenoise.sampler import SamplerConfig, denoise_from_level, pc_sample
 from scdenoise.score_model import MlpScoreModel, save_model
 
 
@@ -151,6 +151,37 @@ def test_joint_train_decreases_loss_and_is_deterministic():
     assert np.mean(trace1[-50:, 0]) < np.mean(trace1[:50, 0])
     # noise levels drawn over the whole schedule
     assert trace1[:, 1].min() >= 1 and trace1[:, 1].max() <= sched.n_steps
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+def test_joint_train_matches_fresh_array_loop(denoise):
+    # reusing one workspace across steps changes no bit of the trace or of
+    # the trained decoder, with and without the sampler in the loop
+    scheme, sched, enc = small_setup(64)
+    sampler_cfg = SamplerConfig(schedule=sched)
+    cfg = JointTrainConfig(steps=20, batch_size=64, learning_rate=2e-3)
+    fn = oracle_score_fn(scheme) if denoise else None
+    dec, trace = joint_train(enc, DecoderModel.build(4, 8, rng=stream_rng(13, 0)), fn,
+                             sampler_cfg, sched, cfg, stream_rng(13, 1))
+    # the same loop, with fresh arrays for every forward and backward
+    ref = DecoderModel.build(4, 8, rng=stream_rng(13, 0))
+    rng = stream_rng(13, 1)
+    state = AdamState(ref.net.params)
+    ref_trace = []
+    for _ in range(cfg.steps):
+        x = rng.uniform(-1.0, 1.0, size=(cfg.batch_size, 8))
+        level = int(rng.integers(1, sched.n_steps + 1))
+        z = forward_diffuse(encode(x, enc), level, sched, rng)
+        if denoise:
+            z = denoise_from_level(z, level, fn, sampler_cfg, rng)
+        out, cache = ref.net.forward(z.view(np.float64))
+        resid = out - x
+        grads = ref.net.backward(cache, (2.0 / cfg.batch_size) * resid)
+        adam_step(ref.net.params, grads, state, lr=cfg.learning_rate)
+        ref_trace.append((np.mean(np.sum(resid**2, axis=-1)), level))
+    np.testing.assert_array_equal(trace, np.array(ref_trace))
+    for got, want in zip(dec.net.params, ref.net.params):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_joint_train_shape_mismatch():

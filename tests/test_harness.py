@@ -311,6 +311,49 @@ def test_cli_raw_baseline_matches_library(tmp_path):
     assert not (tmp_path / "both.npz").exists()
 
 
+def test_cli_config_file_checkpoint(tmp_path, capsys):
+    # a config file's checkpoint key reaches denoise and joint-train as the
+    # --checkpoint flag does, so neither falls back to the oracle
+    ckpt = tmp_path / "score.npz"
+    assert main(["train-score", "--order", "4", "--steps", "20", "--hidden", "8",
+                 "--out", str(ckpt)]) == 0
+    cfg = write_cfg(tmp_path, f"order=4\ncheckpoint={ckpt}\n")
+    runs = {
+        "denoise": ["denoise", "--snr-db", "-3", "--trace", "{}.csv"],
+        "joint-train": ["joint-train", "--source-dim", "4", "--steps", "10", "--batch-size", "8",
+                        "--out", "{}.npz", "--trace", "{}.csv"],
+    }
+    sources = {"flag": ["--order", "4", "--checkpoint", str(ckpt)],
+               "config": ["--config", str(cfg)],
+               "oracle": ["--order", "4"]}
+    for command, argv in runs.items():
+        outputs = {}
+        for source, extra in sources.items():
+            stem = tmp_path / f"{command}_{source}"
+            capsys.readouterr()
+            assert main([a.format(stem) for a in argv] + extra) == 0
+            files = sorted(tmp_path.glob(f"{command}_{source}.*"))
+            outputs[source] = (capsys.readouterr().out.replace(str(stem), "STEM"),
+                               [f.read_bytes() for f in files])
+        assert outputs["config"] == outputs["flag"], command
+        assert outputs["config"] != outputs["oracle"], command
+    # a diverged checkpoint named in the config file exits 3, as the flag does
+    net = Mlp([3, 8, 2])
+    net.biases[-1][:] = np.nan
+    nan_ckpt = tmp_path / "nan.npz"
+    save_model(str(nan_ckpt), MlpScoreModel(net=net))
+    nan_cfg = write_cfg(tmp_path, f"checkpoint={nan_ckpt}\n")
+    assert main(["denoise", "--order", "4", "--snr-db", "0", "--checkpoint", str(nan_ckpt)]) == 3
+    assert main(["denoise", "--order", "4", "--snr-db", "0", "--config", str(nan_cfg)]) == 3
+    # the raw baseline refuses a config file's checkpoint as it refuses the flag
+    out = tmp_path / "raw.npz"
+    capsys.readouterr()
+    assert main(["joint-train", "--order", "4", "--steps", "1", "--raw-baseline",
+                 "--config", str(nan_cfg), "--out", str(out)]) == 2
+    assert "--raw-baseline takes no score checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, "order=banana\n")
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scdenoise.mlp import BLOCK_ACTIVATIONS, AdamState, Mlp, adam_step
+from scdenoise.mlp import BLOCK_ACTIVATIONS, AdamState, Mlp, Workspace, adam_step
 
 
 def numerical_grad(f, params, h=1e-6):
@@ -86,6 +86,99 @@ def test_backward_matches_finite_differences():
     expected = numerical_grad(loss, net.params)
     for g, e in zip(grads, expected):
         np.testing.assert_allclose(g, e, rtol=1e-6, atol=1e-8)
+
+
+def _step(net, x, target, cache=None):
+    """One forward and backward pass; returns (output, grads, cache)."""
+    out, cache = net.forward(x, cache)
+    return out, net.backward(cache, out - target), cache
+
+
+@pytest.mark.parametrize("sizes", [[3, 5], [3, 16, 2], [3, 128, 128, 2]])
+def test_reused_workspace_matches_fresh_arrays(sizes):
+    # two steps on different inputs through one workspace: the second writes
+    # into the first one's arrays, and neither changes a bit of its output or
+    # gradients against fresh-array calls
+    rng = np.random.default_rng(6)
+    net = Mlp(sizes, rng=rng)
+    x1, x2 = rng.standard_normal((2, 256, 3))
+    t1, t2 = rng.standard_normal((2, 256, sizes[-1]))
+    results = []
+    cache = Workspace()
+    for x, t in ((x1, t1), (x2, t2)):
+        out, grads, cache_out = _step(net, x, t, cache)
+        assert cache_out is cache
+        ref_out, ref_grads, _ = _step(net, x, t)
+        np.testing.assert_array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+        results.append((out, grads, list(cache.acts)))
+    (out1, grads1, acts1), (out2, grads2, acts2) = results
+    assert np.shares_memory(out1, out2)
+    for a, b in zip(acts1[1:] + grads1, acts2[1:] + grads2):  # all but the input
+        assert np.shares_memory(a, b)
+    # backward reads grad_out without writing it
+    grad_out = out2 - t1
+    grad_before = grad_out.copy()
+    net.backward(cache, grad_out)
+    np.testing.assert_array_equal(grad_out, grad_before)
+
+
+def test_workspace_of_another_batch_shape_is_not_reused():
+    rng = np.random.default_rng(7)
+    net = Mlp([3, 8, 8, 2], rng=rng)
+    x, t = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
+    _, grads, cache = _step(net, x, t, Workspace())
+    acts = list(cache.acts)
+    # fewer rows: new activation arrays, exactly the fresh-array result
+    out_small, grads_small, cache = _step(net, x[:7], t[:7], cache)
+    ref_out, ref_grads, _ = _step(net, x[:7], t[:7])
+    np.testing.assert_array_equal(out_small, ref_out)
+    for got, want in zip(grads_small, ref_grads):
+        np.testing.assert_array_equal(got, want)
+    for a, b in zip(cache.acts[1:], acts[1:]):
+        assert a.shape != b.shape and not np.shares_memory(a, b)
+    # the gradients' shapes do not depend on the batch, so they stay in place
+    assert all(np.shares_memory(a, b) for a, b in zip(grads_small, grads))
+    # a net of other widths gets arrays of its own shapes
+    other = Mlp([3, 4, 2], rng=rng)
+    out_other, grads_other, _ = _step(other, x, t, cache)
+    ref_out, ref_grads, _ = _step(other, x, t)
+    np.testing.assert_array_equal(out_other, ref_out)
+    for got, want in zip(grads_other, ref_grads):
+        np.testing.assert_array_equal(got, want)
+
+
+def _adam_reference(params, grads, m, v, t, lr):
+    """Adam with one expression per quantity and fresh temporaries; adam_step
+    must match it bit for bit."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= b1
+        mi += (1.0 - b1) * g
+        vi *= b2
+        vi += (1.0 - b2) * g**2
+        mhat = mi / (1.0 - b1**t)
+        vhat = vi / (1.0 - b2**t)
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_adam_step_matches_reference_expression():
+    rng = np.random.default_rng(8)
+    net = Mlp([3, 16, 16, 2], rng=rng)
+    ref = [p.copy() for p in net.params]
+    m = [np.zeros_like(p) for p in ref]
+    v = [np.zeros_like(p) for p in ref]
+    state = AdamState(net.params)
+    for t in range(1, 8):
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for p in ref]
+        lr = np.float64(8e-3) * 0.5 * (1.0 + np.cos(np.pi * t / 8))
+        adam_step(net.params, grads, state, lr=lr)
+        _adam_reference(ref, grads, m, v, t, lr)
+        for got, want in zip(net.params, ref):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(state.m + state.v, m + v):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_adam_zero_grad_is_noop():
