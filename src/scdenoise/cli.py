@@ -13,26 +13,29 @@ import sys
 import numpy as np
 
 from . import codec, score_model, sweep as sweep_mod
-from .channel import awgn_transmit, snr_to_sigma, stream_rng
-from .constellation import modulate
+from .channel import stream_rng
 from .errors import DivergenceError
-from .metrics import mse
 from .oracle import mixture_score, oracle_score_fn
-from .sampler import pc_sample
 from .sweep import write_csv
 
 
 # the ExperimentConfig fields that subcommands also take as flags, each
 # stored under its field name (so --seed stores to master_seed)
-FLAG_FIELDS = ("order", "trials", "n_symbols", "master_seed", "checkpoint", "modes")
+FLAG_FIELDS = ("order", "trials", "master_seed", "checkpoint", "modes")
+# the trainer settings that train-score and joint-train take as flags; a flag
+# left out keeps the default of DsmConfig or JointTrainConfig
+TRAIN_FLAGS = ("steps", "batch_size", "learning_rate")
+
+
+def _given(args, keys) -> dict:
+    """The flags among `keys` that the command line gave, by field name; an
+    empty value counts as not given."""
+    return {key: value for key in keys if (value := getattr(args, key, None)) not in (None, "")}
 
 
 def _experiment_config(args) -> sweep_mod.ExperimentConfig:
     mapping = sweep_mod.parse_config_file(args.config) if args.config else {}
-    for key in FLAG_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None and value != "":  # else the config file's value stands
-            mapping[key] = value
+    mapping.update(_given(args, FLAG_FIELDS))  # a flag overrides the config file's value
     return sweep_mod.ExperimentConfig.from_mapping(mapping)
 
 
@@ -67,20 +70,16 @@ def cmd_schedule(args) -> int:
 
 def cmd_train_score(args) -> int:
     config = _experiment_config(args)
-    dsm = score_model.DsmConfig(
-        schedule=config.schedule(),
-        hidden=tuple(int(h) for h in args.hidden.split(",")),
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        steps=args.steps,
-        seed=config.master_seed,
-    )
+    settings = _given(args, TRAIN_FLAGS)
+    if args.hidden is not None:
+        settings["hidden"] = tuple(int(h) for h in args.hidden.split(","))
+    dsm = score_model.DsmConfig(schedule=config.schedule(), seed=config.master_seed, **settings)
     model, trace = score_model.train_score(config.scheme(), dsm)
     score_model.save_model(args.out, model)
     if args.trace:
         write_csv(args.trace, "step,loss", enumerate(trace))
     rel = score_model.relative_score_error(score_model.model_score_fn(model), config.scheme())
-    print(f"trained {args.steps} steps; final loss {trace[-1]:.4g}; "
+    print(f"trained {dsm.steps} steps; final loss {trace[-1]:.4g}; "
           f"relative score error {rel:.4f}; checkpoint {args.out}")
     return 0
 
@@ -95,33 +94,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_denoise(args) -> int:
-    config = _experiment_config(args)
-    scheme = config.scheme()
-    score_fn = _score_fn_for(config)
-    sampler_cfg = config.sampler_config()
-    sigma_ch = snr_to_sigma(args.snr_db)
-    rng = stream_rng(config.master_seed, 100)
-    idx = rng.integers(0, scheme.order, size=config.n_symbols)
-    z0 = modulate(idx, scheme)
-    z_tilde = awgn_transmit(z0, sigma_ch, rng)
-
-    rows = []
-    observer = None
-    if args.trace:
-        observer = lambda level, sigma, z: rows.append((level, sigma, mse(z, z0)))
-    z_hat = pc_sample(z_tilde, args.snr_db, score_fn, sampler_cfg, rng, observer=observer)
-    if args.trace:
-        write_csv(args.trace, "step,sigma,mse_vs_z0", rows)
-    print(f"snr {args.snr_db} dB: raw mse {mse(z_tilde, z0):.6g}, "
-          f"denoised mse {mse(z_hat, z0):.6g}")
-    return 0
-
-
 def cmd_sweep(args) -> int:
     config = _experiment_config(args)
-    records = sweep_mod.run_sweep(config)
+    trace = []
+    records = sweep_mod.run_sweep(config, (lambda *row: trace.append(row)) if args.trace else None)
     sweep_mod.write_sweep_csv(records, args.out)
+    if args.trace:
+        write_csv(args.trace, "snr_db,mode,step,sigma,mse_vs_z0", trace)
     print(f"wrote {len(records)} sweep rows to {args.out}")
     return 0
 
@@ -159,11 +138,7 @@ def cmd_joint_train(args) -> int:
     enc = codec.QuantizingEncoder(scheme)
     rng = stream_rng(config.master_seed, 200)
     dec = codec.DecoderModel.build(args.source_dim // 2, args.source_dim, rng=rng)
-    train_cfg = codec.JointTrainConfig(
-        steps=args.steps,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-    )
+    train_cfg = codec.JointTrainConfig(**_given(args, TRAIN_FLAGS))
     # the raw baseline denoises nothing, so it builds no score function
     score_fn = None if args.raw_baseline else _score_fn_for(config)
     dec, trace = codec.joint_train(
@@ -173,7 +148,7 @@ def cmd_joint_train(args) -> int:
     if args.trace:
         # levels are whole floats, which %.12g writes without a fraction
         write_csv(args.trace, "step,loss,snr_step", ((i, *row) for i, row in enumerate(trace)))
-    print(f"trained decoder for {args.steps} steps; final loss {trace[-1, 0]:.4g}; "
+    print(f"trained decoder for {train_cfg.steps} steps; final loss {trace[-1, 0]:.4g}; "
           f"checkpoint {args.out}")
     return 0
 
@@ -202,37 +177,34 @@ def build_parser() -> argparse.ArgumentParser:
     command("constellation", cmd_constellation, "dump the constellation as CSV", order, out)
     command("schedule", cmd_schedule, "dump the sigma schedule as CSV", out)
 
-    p = command("train-score", cmd_train_score, "train the score network (DSM)", order, out)
-    p.add_argument("--steps", type=int, default=20000)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--learning-rate", type=float, default=5e-3)
-    p.add_argument("--hidden", default="64,64")
+    # trainer flags default to None, so DsmConfig and JointTrainConfig hold
+    # the only defaults
+    train = argparse.ArgumentParser(add_help=False)
+    train.add_argument("--steps", type=int)
+    train.add_argument("--batch-size", type=int)
+    train.add_argument("--learning-rate", type=float)
+
+    p = command("train-score", cmd_train_score, "train the score network (DSM)", order, out,
+                train)
+    p.add_argument("--hidden", help="comma-separated hidden widths")
     p.add_argument("--trace", help="loss trace CSV path")
 
     p = command("eval", cmd_eval, "compare a checkpoint against the exact score", order)
     p.add_argument("--checkpoint", required=True)
 
-    p = command("denoise", cmd_denoise, "denoise one simulated transmission", order)
-    p.add_argument("--snr-db", type=float, required=True)
-    p.add_argument("--n-symbols", type=int)
-    p.add_argument("--checkpoint", help="score checkpoint (default: oracle)")
-    p.add_argument("--trace", help="per-level mse trace CSV path")
-
     p = command("sweep", cmd_sweep, "run the SNR sweep and write CSV", order, out)
     p.add_argument("--trials", type=int)
     p.add_argument("--modes", help="comma-separated sweep modes")
     p.add_argument("--checkpoint")
+    p.add_argument("--trace", help="per-level mse trace CSV path for the sampler modes")
 
     p = command("scatter", cmd_scatter, "forward-scatter data at one diffusion step", order, out)
     p.add_argument("--step", type=int, required=True)
 
     command("score-field", cmd_score_field, "dump the exact score vector field", order, out)
 
-    p = command("joint-train", cmd_joint_train, "stage-2 decoder training", order, out)
+    p = command("joint-train", cmd_joint_train, "stage-2 decoder training", order, out, train)
     p.add_argument("--source-dim", type=int, default=16)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
     score = p.add_mutually_exclusive_group()
     score.add_argument("--checkpoint", help="score checkpoint (default: oracle)")
     score.add_argument("--raw-baseline", action="store_true",

@@ -61,7 +61,7 @@ class DsmConfig:
     hidden: tuple[int, ...] = (64, 64)
     head: str = "mean"  # kept only because the benchmark workloads pass it
     batch_size: int = 256
-    learning_rate: float = 1e-4  # peak rate, cosine-decayed to 1% of it
+    learning_rate: float = 5e-3  # peak rate, cosine-decayed to 1% of it
     steps: int = 20000
     seed: int = 0
 

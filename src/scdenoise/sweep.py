@@ -76,11 +76,15 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.n_symbols < 1:
             raise ValueError(f"n_symbols must be at least 1, got {self.n_symbols}")
+        if self.scatter_trials < 1:
+            raise ValueError(f"scatter_trials must be at least 1, got {self.scatter_trials}")
         if not self.snr_grid or not self.modes:
             raise ValueError("snr_grid and modes must each name at least one value")
-        for mode in self.modes:
+        for mi, mode in enumerate(self.modes):
             if mode not in SWEEP_MODES:
                 raise ValueError(f"unknown sweep mode {mode!r}")
+            if mode in self.modes[:mi]:
+                raise ValueError(f"repeated sweep mode {mode!r}")
 
     def scheme(self):
         if self.order == 2:
@@ -136,13 +140,19 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def run_sweep(config: ExperimentConfig):
+def run_sweep(config: ExperimentConfig, observer=None):
     """One SweepRecord per (snr, mode). All modes of a trial share the same
     channel realization, so estimator comparisons are paired. Each mode
     denoises the trials of an SNR point as one (trials, n_symbols) array and
     averages the per-trial MSE and SER in trial order. Random draws come from
     stream (seed, si, trial, 0) for a trial's channel and (seed, si, 1 << 21,
-    1 + mode index) for a sampler mode's batch; the floor draws none."""
+    1 + mode index) for a sampler mode's batch; the floor draws none.
+
+    For each sampler mode, `observer(snr_db, mode, level, sigma, mse)` is
+    called with the MSE against z0 over the whole batch: at the starting level
+    k (sigma = the channel noise), after each of levels k-1 .. 1, and at level
+    0 after the final Tweedie step, whose MSE is the record's up to rounding.
+    It draws nothing, so the records do not depend on it."""
     scheme = config.scheme()
     sampler_cfg = config.sampler_config()
     score_fns = {}
@@ -175,7 +185,10 @@ def run_sweep(config: ExperimentConfig):
                 # batch; its last id is nonzero, so it never aliases a channel
                 # stream (si, trial, 0)
                 rng_mode = stream_rng(config.master_seed, si, 1 << 21, 1 + mi)
-                est = pc_sample(z_tilde, snr_db, score_fns[mode], sampler_cfg, rng_mode)
+                trace = None if observer is None else (
+                    lambda level, sigma, z: observer(float(snr_db), mode, level, sigma, mse(z, z0)))
+                est = pc_sample(z_tilde, snr_db, score_fns[mode], sampler_cfg, rng_mode,
+                                observer=trace)
             est_idx = demodulate_hard(est, scheme)
             # plain += in trial order; sum() compensates from Python 3.12 on
             mse_sum = ser_sum = 0.0

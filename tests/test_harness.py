@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from scdenoise.channel import awgn_transmit, complex_noise, snr_to_sigma, stream_rng
+from scdenoise.channel import awgn_transmit, complex_noise, snr_to_sigma, snr_to_step, stream_rng
 from scdenoise.cli import build_parser, main
 from scdenoise.codec import (
     DecoderModel,
@@ -21,7 +21,7 @@ from scdenoise.metrics import mse, ser
 from scdenoise.mlp import Mlp
 from scdenoise.oracle import mmse_bound, oracle_score_fn, posterior_mean
 from scdenoise.sampler import pc_sample
-from scdenoise.score_model import MlpScoreModel, save_model
+from scdenoise.score_model import DsmConfig, MlpScoreModel, load_model, save_model, train_score
 from scdenoise.sweep import (
     ExperimentConfig,
     emit_scatter,
@@ -80,6 +80,8 @@ def test_config_from_mapping_and_validation():
         ExperimentConfig.from_mapping({"modes": "raw,telepathy"})
     for empty, message in (({"trials": "0"}, "trials must be at least 1, got 0"),
                            ({"n_symbols": "0"}, "n_symbols must be at least 1, got 0"),
+                           ({"scatter_trials": "0"}, "scatter_trials must be at least 1, got 0"),
+                           ({"modes": "raw,mmse,raw"}, "repeated sweep mode 'raw'"),
                            ({"snr_grid": ""}, "snr_grid and modes must each name at least one"),
                            ({"modes": ""}, "snr_grid and modes must each name at least one")):
         with pytest.raises(ValueError, match=message):
@@ -183,6 +185,28 @@ def test_run_sweep_matches_per_trial_reference():
             assert not np.array_equal(draw, other.standard_normal(4))
 
 
+def test_run_sweep_observer():
+    # the observer sees each sampler mode's whole batch at levels k .. 0 and
+    # changes no record; raw and mmse are not traced
+    cfg = tiny_config(order=16, trials=3, n_symbols=24, snr_grid=(-6.0, 0.0, 9.0),
+                      modes=("raw", "oracle_pc", "mmse"))
+    rows = []
+    records = run_sweep(cfg, lambda *row: rows.append(row))
+    assert records == run_sweep(cfg)
+    by_key = {(r.snr_db, r.mode): r for r in records}
+    groups = {}
+    for snr_db, mode, level, sigma, err in rows:
+        groups.setdefault((snr_db, mode), []).append((level, sigma, err))
+    assert list(groups) == [(snr, "oracle_pc") for snr in cfg.snr_grid]
+    for (snr_db, mode), trace in groups.items():
+        k = snr_to_step(snr_db, cfg.schedule())
+        assert [level for level, _, _ in trace] == list(range(k, -1, -1))
+        assert trace[0][1] == snr_to_sigma(snr_db) and trace[-1][1] == 0.0
+        # the chain starts at the received symbols and ends at the estimate
+        assert trace[0][2] == pytest.approx(by_key[(snr_db, "raw")].mse, rel=1e-12)
+        assert trace[-1][2] == pytest.approx(by_key[(snr_db, mode)].mse, rel=1e-12)
+
+
 def test_run_sweep_learned_requires_checkpoint():
     cfg = tiny_config(modes=("learned_pc",))
     with pytest.raises(ValueError, match="learned_pc mode requires a checkpoint"):
@@ -257,16 +281,29 @@ def write_cfg(tmp_path, text):
     return path
 
 
-def test_cli_denoise_and_sweep(tmp_path):
+def test_cli_sweep_trace(tmp_path, capsys):
+    # --trace writes the observer's rows and changes no byte of the data CSV
+    # or of stdout
     cfg = write_cfg(tmp_path, "order=4\nn_steps=16\ntrials=2\nn_symbols=32\n"
-                              "snr_grid=-6,0\nmmse_trials=2000\nmodes=raw,mmse\n")
-    trace = tmp_path / "trace.csv"
-    assert main(["denoise", "--snr-db", "-6", "--order", "4", "--config", str(cfg),
-                 "--trace", str(trace)]) == 0
-    assert trace.read_text().startswith("step,sigma,mse_vs_z0")
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert len(out.read_text().strip().split("\n")) == 1 + 2 * 2
+                              "snr_grid=-6,0\nmodes=raw,mmse,oracle_pc\n")
+    out, trace = tmp_path / "sweep.csv", tmp_path / "trace.csv"
+    runs = []
+    for extra in ([], ["--trace", str(trace)]):
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), *extra]) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1].decode().strip().split("\n")) == 1 + 2 * 3
+    rows = []
+    run_sweep(ExperimentConfig.from_mapping(parse_config_file(str(cfg))),
+              lambda *row: rows.append(row))
+    ref = tmp_path / "ref.csv"
+    write_csv(str(ref), "snr_db,mode,step,sigma,mse_vs_z0", rows)
+    assert trace.read_bytes() == ref.read_bytes()
+    # the one-SNR denoise command is gone: a sweep with --trace replaces it
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--snr-db", "0", "--trace", str(tmp_path / "d.csv")])
+    assert exc.value.code == 2
 
 
 def test_cli_train_eval_joint(tmp_path):
@@ -283,6 +320,22 @@ def test_cli_train_eval_joint(tmp_path):
                  "--batch-size", "8", "--out", str(dec), "--config", str(cfg),
                  "--trace", str(tmp_path / "jt.csv")]) == 0
     assert dec.exists()
+
+
+def test_cli_train_score_matches_library(tmp_path):
+    # a trainer flag left out keeps DsmConfig's default (here the batch size
+    # and learning rate)
+    ckpt, trace_path = tmp_path / "score.npz", tmp_path / "loss.csv"
+    assert main(["train-score", "--order", "4", "--steps", "30", "--hidden", "8",
+                 "--seed", "3", "--out", str(ckpt), "--trace", str(trace_path)]) == 0
+    config = ExperimentConfig(order=4)
+    model, trace = train_score(config.scheme(), DsmConfig(schedule=config.schedule(),
+                                                          hidden=(8,), steps=30, seed=3))
+    for got, want in zip(load_model(str(ckpt)).net.params, model.net.params):
+        np.testing.assert_array_equal(got, want)
+    ref_path = tmp_path / "ref.csv"
+    write_csv(str(ref_path), "step,loss", enumerate(trace))
+    assert trace_path.read_bytes() == ref_path.read_bytes()
 
 
 def test_cli_raw_baseline_matches_library(tmp_path):
@@ -312,39 +365,49 @@ def test_cli_raw_baseline_matches_library(tmp_path):
 
 
 def test_cli_config_file_checkpoint(tmp_path, capsys):
-    # a config file's checkpoint key reaches denoise and joint-train as the
-    # --checkpoint flag does, so neither falls back to the oracle
+    # a config file's checkpoint key reaches sweep and joint-train as the
+    # --checkpoint flag does: joint-train does not fall back to the oracle,
+    # and a learned_pc sweep does not refuse to run
     ckpt = tmp_path / "score.npz"
     assert main(["train-score", "--order", "4", "--steps", "20", "--hidden", "8",
                  "--out", str(ckpt)]) == 0
-    cfg = write_cfg(tmp_path, f"order=4\ncheckpoint={ckpt}\n")
+    base = "order=4\ntrials=2\nn_symbols=16\nsnr_grid=-3,6\n"
+    base_cfg, ckpt_cfg = tmp_path / "base.cfg", tmp_path / "ckpt.cfg"
+    base_cfg.write_text(base)
+    ckpt_cfg.write_text(base + f"checkpoint={ckpt}\n")
     runs = {
-        "denoise": ["denoise", "--snr-db", "-3", "--trace", "{}.csv"],
         "joint-train": ["joint-train", "--source-dim", "4", "--steps", "10", "--batch-size", "8",
                         "--out", "{}.npz", "--trace", "{}.csv"],
+        "sweep": ["sweep", "--modes", "raw,learned_pc", "--out", "{}.csv",
+                  "--trace", "{}.trace.csv"],
     }
-    sources = {"flag": ["--order", "4", "--checkpoint", str(ckpt)],
-               "config": ["--config", str(cfg)],
-               "oracle": ["--order", "4"]}
+    sources = {"flag": ["--config", str(base_cfg), "--checkpoint", str(ckpt)],
+               "config": ["--config", str(ckpt_cfg)],
+               "oracle": ["--config", str(base_cfg)]}
     for command, argv in runs.items():
         outputs = {}
         for source, extra in sources.items():
             stem = tmp_path / f"{command}_{source}"
             capsys.readouterr()
-            assert main([a.format(stem) for a in argv] + extra) == 0
+            code = main([a.format(stem) for a in argv] + extra)
             files = sorted(tmp_path.glob(f"{command}_{source}.*"))
-            outputs[source] = (capsys.readouterr().out.replace(str(stem), "STEM"),
+            outputs[source] = (code, capsys.readouterr().out.replace(str(stem), "STEM"),
                                [f.read_bytes() for f in files])
         assert outputs["config"] == outputs["flag"], command
+        assert outputs["config"][0] == 0 and len(outputs["config"][2]) == 2, command
         assert outputs["config"] != outputs["oracle"], command
+    # with no checkpoint anywhere, a learned_pc sweep is refused and writes nothing
+    assert outputs["oracle"] == (2, "", [])
     # a diverged checkpoint named in the config file exits 3, as the flag does
     net = Mlp([3, 8, 2])
     net.biases[-1][:] = np.nan
     nan_ckpt = tmp_path / "nan.npz"
     save_model(str(nan_ckpt), MlpScoreModel(net=net))
     nan_cfg = write_cfg(tmp_path, f"checkpoint={nan_ckpt}\n")
-    assert main(["denoise", "--order", "4", "--snr-db", "0", "--checkpoint", str(nan_ckpt)]) == 3
-    assert main(["denoise", "--order", "4", "--snr-db", "0", "--config", str(nan_cfg)]) == 3
+    for extra in (["--checkpoint", str(nan_ckpt)], ["--config", str(nan_cfg)]):
+        assert main(["sweep", "--order", "4", "--trials", "1", "--modes", "raw,learned_pc",
+                     "--out", str(tmp_path / "nan.csv"), *extra]) == 3
+        assert not (tmp_path / "nan.csv").exists()
     # the raw baseline refuses a config file's checkpoint as it refuses the flag
     out = tmp_path / "raw.npz"
     capsys.readouterr()
@@ -401,21 +464,28 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                 ["joint-train", "--order", "4", "--steps", "1", "--source-dim", "0"]):
         assert main([*cmd, "--out", str(tmp_path / "zero.npz")]) == 2
         assert not (tmp_path / "zero.npz").exists()
-    # a non-finite SNR is refused by name, not mapped to a level or a sigma
-    capsys.readouterr()
-    for snr in ("nan", "inf", "-inf"):
-        assert main(["denoise", "--order", "4", f"--snr-db={snr}"]) == 2
-        assert f"SNR must be finite, got {float(snr)} dB" in capsys.readouterr().err
-    # an SNR so high that its noise std underflows to 0 is refused by name too
-    assert main(["denoise", "--order", "4", "--snr-db", "7000"]) == 2
-    assert "SNR 7000.0 dB is too high" in capsys.readouterr().err
-    # and one so low that its noise variance overflows a float
-    assert main(["denoise", "--order", "4", "--snr-db", "-7000"]) == 2
-    assert "SNR -7000.0 dB is too low" in capsys.readouterr().err
-    cfg = write_cfg(tmp_path, "snr_grid=nan\n")
-    out = tmp_path / "nan_snr.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "SNR must be finite, got nan dB" in capsys.readouterr().err
+    # a non-finite SNR is refused by name, not mapped to a level or a sigma;
+    # so is an SNR so high that its noise std underflows to 0, and one so low
+    # that its noise variance overflows a float
+    out = tmp_path / "bad_snr.csv"
+    for snr, message in (("nan", "SNR must be finite, got nan dB"),
+                         ("inf", "SNR must be finite, got inf dB"),
+                         ("-inf", "SNR must be finite, got -inf dB"),
+                         ("7000", "SNR 7000.0 dB is too high"),
+                         ("-7000", "SNR -7000.0 dB is too low")):
+        cfg = write_cfg(tmp_path, f"snr_grid={snr}\n")
+        capsys.readouterr()
+        assert main(["sweep", "--order", "4", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    # a repeated sweep mode would give two rows under one (SNR, mode) key
+    assert main(["sweep", "--modes", "raw,raw", "--out", str(out)]) == 2
+    assert "repeated sweep mode 'raw'" in capsys.readouterr().err
+    assert not out.exists()
+    # a scatter of no trials
+    cfg = write_cfg(tmp_path, "scatter_trials=0\n")
+    assert main(["scatter", "--step", "8", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "scatter_trials must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
     # a directory where a file is expected
     assert main(["constellation", "--out", str(tmp_path)]) == 2
@@ -466,9 +536,11 @@ CLI_CSV_CASES = {
                 2 * 50, {"step": "8", "mode": "scdm", "trial": "0"}),
     "sweep": (["sweep", "--order", "4"], "--out", "snr_db,mode,mse,ser,mmse_bound,trials,seed",
               2 * 2, {"snr_db": "-6", "mode": "raw", "trials": "2", "seed": "0"}),
-    # levels 13 (sigma_13 is the first above the -6 dB channel noise) down to 0
-    "denoise": (["denoise", "--order", "4", "--snr-db", "-6"], "--trace",
-                "step,sigma,mse_vs_z0", 14, {"step": "13"}),
+    # levels 13 (sigma_13 is the first above the -6 dB channel noise) down to
+    # 0, then 12 .. 0 at 0 dB (sigma_11 rounds to just below 1)
+    "sweep-trace": (["sweep", "--order", "4", "--modes", "raw,oracle_pc", "--out", "data.csv"],
+                    "--trace", "snr_db,mode,step,sigma,mse_vs_z0", 14 + 13,
+                    {"snr_db": "-6", "mode": "oracle_pc", "step": "13"}),
     "train-score": (["train-score", "--order", "2", "--steps", "30", "--hidden", "8",
                      "--out", "score.npz"], "--trace", "step,loss", 30, {"step": "0"}),
     "joint-train": (["joint-train", "--order", "4", "--source-dim", "4", "--steps", "10",
@@ -505,20 +577,17 @@ CLI_FLAGS = {
                       "--seed": (None, int, False), "--config": (None, None, False)},
     "schedule": {"--out": (None, None, True), "--seed": (None, int, False),
                  "--config": (None, None, False)},
-    "train-score": {"--order": (None, int, False), "--steps": (20000, int, False),
-                    "--batch-size": (256, int, False), "--learning-rate": (5e-3, float, False),
-                    "--hidden": ("64,64", None, False), "--out": (None, None, True),
+    "train-score": {"--order": (None, int, False), "--steps": (None, int, False),
+                    "--batch-size": (None, int, False), "--learning-rate": (None, float, False),
+                    "--hidden": (None, None, False), "--out": (None, None, True),
                     "--trace": (None, None, False), "--seed": (None, int, False),
                     "--config": (None, None, False)},
     "eval": {"--order": (None, int, False), "--checkpoint": (None, None, True),
              "--seed": (None, int, False), "--config": (None, None, False)},
-    "denoise": {"--order": (None, int, False), "--snr-db": (None, float, True),
-                "--n-symbols": (None, int, False), "--checkpoint": (None, None, False),
-                "--trace": (None, None, False), "--seed": (None, int, False),
-                "--config": (None, None, False)},
     "sweep": {"--order": (None, int, False), "--trials": (None, int, False),
               "--modes": (None, None, False), "--checkpoint": (None, None, False),
-              "--out": (None, None, True), "--seed": (None, int, False),
+              "--trace": (None, None, False), "--out": (None, None, True),
+              "--seed": (None, int, False),
               "--config": (None, None, False)},
     "scatter": {"--order": (None, int, False), "--step": (None, int, True),
                 "--out": (None, None, True), "--seed": (None, int, False),
@@ -526,8 +595,8 @@ CLI_FLAGS = {
     "score-field": {"--order": (None, int, False), "--out": (None, None, True),
                     "--seed": (None, int, False), "--config": (None, None, False)},
     "joint-train": {"--order": (None, int, False), "--source-dim": (16, int, False),
-                    "--steps": (2000, int, False), "--batch-size": (64, int, False),
-                    "--learning-rate": (1e-3, float, False),
+                    "--steps": (None, int, False), "--batch-size": (None, int, False),
+                    "--learning-rate": (None, float, False),
                     "--checkpoint": (None, None, False), "--raw-baseline": (False, None, False),
                     "--out": (None, None, True), "--trace": (None, None, False),
                     "--seed": (None, int, False), "--config": (None, None, False)},
