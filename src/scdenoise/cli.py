@@ -130,10 +130,8 @@ def cmd_score_field(args) -> int:
 
 def cmd_joint_train(args) -> int:
     config = _experiment_config(args)
-    if args.raw_baseline and config.checkpoint:
-        # argparse refuses the two flags together; this catches a config file's key
-        raise ValueError("--raw-baseline takes no score checkpoint, "
-                         f"but the config names {config.checkpoint!r}")
+    if args.raw_baseline and config.checkpoint:  # from --checkpoint or the config file
+        raise ValueError(f"--raw-baseline takes no score checkpoint, got {config.checkpoint!r}")
     scheme = config.scheme()
     enc = codec.QuantizingEncoder(scheme)
     rng = stream_rng(config.master_seed, 200)
@@ -205,10 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("joint-train", cmd_joint_train, "stage-2 decoder training", order, out, train)
     p.add_argument("--source-dim", type=int, default=16)
-    score = p.add_mutually_exclusive_group()
-    score.add_argument("--checkpoint", help="score checkpoint (default: oracle)")
-    score.add_argument("--raw-baseline", action="store_true",
-                       help="train on raw noisy symbols instead of denoised ones")
+    p.add_argument("--checkpoint", help="score checkpoint (default: oracle)")
+    p.add_argument("--raw-baseline", action="store_true",
+                   help="train on raw noisy symbols instead of denoised ones")
     p.add_argument("--trace", help="training trace CSV path")
     return parser
 

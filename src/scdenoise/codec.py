@@ -18,9 +18,7 @@ import numpy as np
 
 from .channel import NoiseSchedule, forward_diffuse
 from .constellation import ConstellationScheme, demodulate_hard
-from .errors import DivergenceError
-from .mlp import (AdamState, Mlp, Workspace, adam_step, check_training, load_checkpoint,
-                  save_checkpoint)
+from .mlp import Mlp, check_training, fit, load_checkpoint, save_checkpoint
 from .sampler import SamplerConfig, denoise_from_level
 
 __all__ = [
@@ -128,38 +126,29 @@ def joint_train(
 ):
     """Train the decoder on channel outputs, denoised by the frozen score_fn.
 
-    Each iteration draws a batch of uniform sources, corrupts the encoded
-    symbols to a uniformly random schedule level, denoises them from that
-    level with `denoise_from_level` unless score_fn is None (the raw-symbol
-    baseline, which draws no sampler noise), and descends the decoder's
-    reconstruction loss ||x - x_hat||^2. Returns (decoder, trace) with one
-    (loss, level) row per step.
+    Each step encodes a batch of uniform sources, corrupts the symbols to a
+    uniformly random schedule level and denoises them from it with
+    `denoise_from_level`, unless score_fn is None (the raw-symbol baseline,
+    which draws no sampler noise); `fit` descends the loss ||x - x_hat||^2.
+    Returns (decoder, trace) with one (loss, level) row per step.
     """
     d = dec.source_dim
     if 2 * dec.n_symbols != d:
         raise ValueError(f"source dimension {d} must be two per symbol of the decoder's "
                          f"{dec.n_symbols}-symbol input")
-    state = AdamState(dec.net.params)
-    cache = Workspace()  # every step's forward and backward reuse its arrays
-    trace = np.empty((config.steps, 2))
-    for step in range(config.steps):
+    levels = []
+
+    def batch(step):
         x = rng.uniform(-1.0, 1.0, size=(config.batch_size, d))
-        z0 = encode(x, enc)
         level = int(rng.integers(1, sched.n_steps + 1))
-        z = forward_diffuse(z0, level, sched, rng)
+        z = forward_diffuse(encode(x, enc), level, sched, rng)
         if score_fn is not None:
             z = denoise_from_level(z, level, score_fn, sampler_config, rng)
-        out, cache = dec.net.forward(_pairs(z), cache)
-        resid = out - x
-        loss = float(np.mean(np.sum(resid**2, axis=-1)))
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite decoder loss at step {step}")
-        grads = dec.net.backward(cache, (2.0 / config.batch_size) * resid)
-        adam_step(dec.net.params, grads, state, lr=config.learning_rate)
-        trace[step] = (loss, level)
-    if not dec.net.all_finite():
-        raise DivergenceError("non-finite decoder parameters after training")
-    return dec, trace
+        levels.append(level)
+        return _pairs(z), x
+
+    losses = fit(dec.net, config.steps, batch, lambda step: config.learning_rate)
+    return dec, np.column_stack([losses, levels])
 
 
 def save_decoder(path: str, dec: DecoderModel) -> None:

@@ -1,26 +1,26 @@
 """Minimal fully-connected network with hand-written reverse-mode gradients and Adam.
 
 Kept deliberately small: tanh hidden layers, linear output, float64 throughout.
-Both the score network and the semantic decoder build on this, and share its
-checkpoint format: a version tag, the layer sizes, the parameter arrays
-`w{i}`/`b{i}` and one string of model metadata. Adam uses the standard
-constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8; only the learning rate
-is set per call, and `check_training` is the one check of a training loop's
-step count, batch size and learning rate.
-
-A training loop owns its scratch memory. It makes one `Workspace` and passes
-it to every step's `Mlp.forward` and `Mlp.backward`, and its `AdamState`
-holds Adam's scratch arrays, so a steady-state step allocates no whole-batch
-array. A reused call overwrites what the previous step's calls returned.
-Nothing in `Mlp` keeps a workspace: a call given none allocates fresh arrays.
+The score network and the semantic decoder both build on it. They share its
+checkpoint format (a version tag, the layer sizes, the arrays `w{i}`/`b{i}`
+and one metadata string) and its one training loop, `fit`: Adam on the mean
+squared error, at beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, with only the
+learning rate set. `fit` owns one `Workspace`, which every step's `forward`
+and `backward` reuse, and one `AdamState`, so a steady-state step allocates
+no whole-batch array; a call given no workspace allocates fresh arrays.
+`check_training` is the one check of a trainer's steps, batch size and rate.
 """
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 
-__all__ = ["Mlp", "Workspace", "AdamState", "adam_step", "check_training",
-           "save_checkpoint", "load_checkpoint"]
+from .errors import DivergenceError
+
+__all__ = ["Mlp", "Workspace", "AdamState", "adam_step", "squared_error", "fit",
+           "check_training", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_VERSION = 1
 
@@ -98,11 +98,10 @@ class Mlp:
     def forward(self, x: np.ndarray, cache: Workspace | None = None):
         """Returns (output, cache). x has shape (batch, n_in).
 
-        Without `cache` the call allocates a new Workspace. Given one, such
-        as the workspace a previous call returned, it writes into that
-        workspace's arrays wherever the batch size is unchanged, overwriting
-        the previous call's activations and output. The workspace keeps a
-        reference to x, which backward reads.
+        Without `cache` the call allocates a new Workspace. Given one, such as
+        `fit`'s, it writes into its arrays wherever the batch size is unchanged,
+        overwriting the previous call's activations and output. The workspace
+        keeps a reference to x, which backward reads.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         cache = Workspace() if cache is None else cache
@@ -192,6 +191,35 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         p -= mhat
 
 
+def squared_error(net: Mlp, x: np.ndarray, target: np.ndarray,
+                  cache: Workspace | None = None):
+    """The mean over rows of |net(x) - target|^2 and its gradients, ordered
+    like net.params. With `cache` the gradients are its arrays (see `forward`)."""
+    out, cache = net.forward(x, cache)
+    resid = out - target
+    loss = float(np.mean(np.sum(resid**2, axis=-1)))
+    return loss, net.backward(cache, (2.0 / len(resid)) * resid)
+
+
+def fit(net: Mlp, steps: int, batch, lr) -> np.ndarray:
+    """Minimize `squared_error` by Adam; returns the loss of every step.
+
+    Step k trains on (x, target) = batch(k) at learning rate lr(k). A non-finite
+    loss raises DivergenceError before its Adam step, as do non-finite
+    parameters after the last step.
+    """
+    state, cache = AdamState(net.params), Workspace()
+    losses = np.empty(steps)
+    for k in range(steps):
+        losses[k], grads = squared_error(net, *batch(k), cache)
+        if not np.isfinite(losses[k]):
+            raise DivergenceError(f"non-finite loss at step {k}")
+        adam_step(net.params, grads, state, lr(k))
+    if not net.all_finite():
+        raise DivergenceError("non-finite parameters after training")
+    return losses
+
+
 def check_training(steps: int, batch_size: int, learning_rate: float) -> None:
     """Raise ValueError unless steps and batch_size are at least 1 and
     learning_rate is finite and positive (NaN is neither)."""
@@ -205,34 +233,44 @@ def save_checkpoint(path: str, net: Mlp, **meta: str) -> None:
     """Write `net` and its string metadata (e.g. head="mean") to an .npz file."""
     arrays = {f"w{i}": w for i, w in enumerate(net.weights)}
     arrays.update({f"b{i}": b for i, b in enumerate(net.biases)})
-    np.savez(
-        path,
-        version=CHECKPOINT_VERSION,
-        **meta,
-        layer_sizes=np.array(net.layer_sizes),
-        **arrays,
-    )
+    np.savez(path, version=CHECKPOINT_VERSION, **meta, layer_sizes=np.array(net.layer_sizes),
+             **arrays)
 
 
 def load_checkpoint(path: str, meta_key: str) -> tuple[Mlp, str]:
     """Read a checkpoint written by `save_checkpoint`; returns (net, meta[meta_key]).
 
-    A file without `meta_key` belongs to another kind of model and raises
-    ValueError, as do an unknown version and parameter arrays whose shapes do
-    not match `layer_sizes`.
+    Any other file raises ValueError: one that is not an .npz archive, one
+    without `meta_key` (another kind of model), an unknown version, layer
+    sizes that are not a 1-D integer array, and parameters that are not
+    float64 arrays of the shapes the layer sizes give.
     """
-    with np.load(path, allow_pickle=False) as data:
-        missing = [k for k in ("version", "layer_sizes", meta_key) if k not in data.files]
-        if missing:
-            raise ValueError(f"{path} is not a checkpoint of this kind (no {', '.join(missing)})")
-        if int(data["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {data['version']}")
-        sizes = [int(s) for s in data["layer_sizes"]]
-        net = Mlp(sizes)
-        for prefix, params in (("w", net.weights), ("b", net.biases)):
-            for i, zero in enumerate(params):
-                key = f"{prefix}{i}"
-                if key not in data.files or data[key].shape != zero.shape:
-                    raise ValueError(f"{path}: {key} does not match layer sizes {sizes}")
-                params[i] = data[key]  # a fresh array, read from the file
-        return net, str(data[meta_key])
+    try:
+        with open(path, "rb") as file:  # np.load leaves a path open when zipfile raises
+            data = np.load(file, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError(f"{path} is an .npy array, not an .npz archive")
+            return _read_checkpoint(path, data, meta_key)
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a readable .npz archive: {exc}") from exc
+
+
+def _read_checkpoint(path: str, data, meta_key: str) -> tuple[Mlp, str]:
+    missing = [k for k in ("version", "layer_sizes", meta_key) if k not in data.files]
+    if missing:
+        raise ValueError(f"{path} is not a checkpoint of this kind (no {', '.join(missing)})")
+    version, sizes = data["version"], data["layer_sizes"]
+    if version.shape != () or version.dtype.kind not in "iu" or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version.tolist()}")
+    if sizes.ndim != 1 or sizes.dtype.kind not in "iu":
+        raise ValueError(f"{path}: layer_sizes {sizes.tolist()} is not a 1-D integer array")
+    sizes = sizes.tolist()
+    shapes = {f"w{i}": pair for i, pair in enumerate(zip(sizes, sizes[1:]))}
+    shapes.update({f"b{i}": (n,) for i, n in enumerate(sizes[1:])})
+    for key, shape in shapes.items():  # checked before Mlp allocates anything
+        if key not in data.files or data[key].shape != shape or data[key].dtype != float:
+            raise ValueError(f"{path}: {key} is not a float64 array of shape {shape}")
+    net = Mlp(sizes)
+    net.weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
+    net.biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
+    return net, str(data[meta_key])

@@ -22,8 +22,7 @@ import numpy as np
 from .channel import NoiseSchedule, complex_noise, stream_rng
 from .constellation import ConstellationScheme
 from .errors import DivergenceError
-from .mlp import (AdamState, Mlp, Workspace, adam_step, check_training, load_checkpoint,
-                  save_checkpoint)
+from .mlp import Mlp, check_training, fit, load_checkpoint, save_checkpoint, squared_error
 from .oracle import mixture_score
 
 __all__ = [
@@ -106,62 +105,39 @@ def model_score_fn(model: MlpScoreModel):
     return score
 
 
-def dsm_loss(
-    model: MlpScoreModel,
-    z0_batch: np.ndarray,
-    sched: NoiseSchedule,
-    rng: np.random.Generator,
-    cache: Workspace | None = None,
-):
-    """One DSM minibatch: corrupt z0, regress the denoiser back onto it.
-
-    Each sample draws a level i uniformly from {1..N}, corrupts z0 to
-    z_i = z0 + sigma_i * eps, and is penalized |D(z_i, sigma_i) - z0|^2 over
-    the two real dimensions. This is the DSM penalty
-    (sigma_i^4 / 4) * || s_theta(z_i, sigma_i) + 2 (z_i - z0) / sigma_i^2 ||^2
-    with s_theta = (2 / sigma_i^2) (D - z_i). Returns (mean loss, exact
-    gradients). The network's forward and backward pass run in `cache` when
-    given (see `Mlp.forward`), so the gradients are its arrays.
-    """
+def _dsm_batch(z0_batch: np.ndarray, sched: NoiseSchedule, rng: np.random.Generator):
+    """Inputs at z_i = z0 + sigma_i * eps, level i uniform on {1..N} per symbol,
+    and the regression target: z0 as (re, im) pairs."""
     z0 = np.asarray(z0_batch, dtype=np.complex128).ravel()
     if z0.size == 0:
         raise ValueError("empty batch")
-    n = z0.size
-    levels = rng.integers(1, sched.n_steps + 1, size=n)
+    levels = rng.integers(1, sched.n_steps + 1, size=z0.size)
     sigma = sched.sigmas[levels - 1]
-    zi = z0 + sigma * complex_noise(rng, n)
+    zi = z0 + sigma * complex_noise(rng, z0.size)
+    return _features(zi, np.log(sigma))[0], z0.view(np.float64).reshape(-1, 2)
 
-    raw, cache = model.net.forward(_features(zi, np.log(sigma))[0], cache)
-    resid = raw - z0.view(np.float64).reshape(-1, 2)
-    loss = float(np.mean(np.sum(resid**2, axis=-1)))
-    grads = model.net.backward(cache, (2.0 / n) * resid)
-    return loss, grads
+
+def dsm_loss(model: MlpScoreModel, z0_batch: np.ndarray, sched: NoiseSchedule,
+             rng: np.random.Generator):
+    """One DSM minibatch as `train_score` draws it: (mean loss, exact gradients)."""
+    return squared_error(model.net, *_dsm_batch(z0_batch, sched, rng))
 
 
 def train_score(scheme: ConstellationScheme, config: DsmConfig):
-    """Train a score model on uniform random constellation symbols.
-
-    Returns (model, loss_trace) where loss_trace is one float per step.
-    """
+    """Train a score model on uniform random symbols; returns (model, loss per step)."""
     rng = stream_rng(config.seed, 0)
     net = Mlp([3, *config.hidden, 2], rng=rng)
-    model = MlpScoreModel(net=net)
-    state = AdamState(net.params)
-    cache = Workspace()  # every step's forward and backward reuse its arrays
-    trace = np.empty(config.steps)
-    for step in range(config.steps):
+
+    def batch(step):
         idx = rng.integers(0, scheme.order, size=config.batch_size)
-        z0 = scheme.points[idx]
-        loss, grads = dsm_loss(model, z0, config.schedule, rng, cache)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite DSM loss at step {step}")
-        # The 1% floor keeps the final error stable across seeds.
-        lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.steps))
-        adam_step(net.params, grads, state, lr=max(lr, config.learning_rate * 0.01))
-        trace[step] = loss
-    if not net.all_finite():
-        raise DivergenceError("non-finite parameters after training")
-    return model, trace
+        return _dsm_batch(scheme.points[idx], config.schedule, rng)
+
+    def lr(step):
+        # cosine decay; the 1% floor keeps the final error stable across seeds
+        rate = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.steps))
+        return max(rate, config.learning_rate * 0.01)
+
+    return MlpScoreModel(net=net), fit(net, config.steps, batch, lr)
 
 
 def save_model(path: str, model: MlpScoreModel) -> None:

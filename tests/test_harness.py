@@ -357,10 +357,8 @@ def test_cli_raw_baseline_matches_library(tmp_path):
     write_csv(str(ref_path), "step,loss,snr_step", ((i, *row) for i, row in enumerate(trace)))
     assert trace_path.read_bytes() == ref_path.read_bytes()
     # the raw baseline takes no score checkpoint
-    with pytest.raises(SystemExit) as exc:
-        main(["joint-train", "--raw-baseline", "--checkpoint", str(dec_path),
-              "--out", str(tmp_path / "both.npz")])
-    assert exc.value.code == 2
+    assert main(["joint-train", "--raw-baseline", "--checkpoint", str(dec_path),
+                 "--out", str(tmp_path / "both.npz")]) == 2
     assert not (tmp_path / "both.npz").exists()
 
 
@@ -443,7 +441,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                   w0=net.weights[0], w1=net.weights[1], b0=net.biases[0])
     np.savez(tmp_path / "noise.npz", head="noise", b1=net.biases[1], **arrays)
     np.savez(tmp_path / "bad_shape.npz", head="mean", b1=np.zeros(1), **arrays)
-    for name in ("noise.npz", "bad_shape.npz"):
+    # a 0-d layer_sizes, and a file that starts like a zip archive but is none
+    np.savez(tmp_path / "sizes_0d.npz", head="mean", b1=net.biases[1],
+             **{**arrays, "layer_sizes": np.array(3)})
+    (tmp_path / "not_zip.npz").write_bytes(b"PK\x03\x04 not a zip archive")
+    for name in ("noise.npz", "bad_shape.npz", "sizes_0d.npz", "not_zip.npz"):
         assert main(["eval", "--checkpoint", str(tmp_path / name)]) == 2
     # train-score has no --head flag
     with pytest.raises(SystemExit) as exc:
@@ -511,6 +513,21 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--modes", "raw,learned_pc",
                  "--checkpoint", str(nan_ckpt), "--trials", "1", "--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train-score"], ["joint-train", "--source-dim", "4"]])
+def test_cli_training_divergence(tmp_path, capsys, command):
+    # a learning rate that overflows the parameters on the first Adam step:
+    # the next loss is not finite, so the command exits 3 with no checkpoint
+    # and no trace
+    out, trace = tmp_path / "model.npz", tmp_path / "trace.csv"
+    with np.errstate(all="ignore"):
+        assert main([*command, "--order", "4", "--steps", "20", "--learning-rate", "1e300",
+                     "--out", str(out), "--trace", str(trace)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical divergence: non-finite loss at step 1" in captured.err
+    assert not out.exists() and not trace.exists()
 
 
 def test_cli_sweep_byte_identical(tmp_path):
@@ -619,9 +636,8 @@ def test_cli_flag_inventory(capsys):
                 (name, flag)
         # --seed fills the config's master seed, and --help still names it SEED
         assert actions["--seed"].dest == "master_seed"
-        exclusive = [{action.option_strings[0] for action in group._group_actions}
-                     for group in parser._mutually_exclusive_groups]
-        assert exclusive == ([{"--checkpoint", "--raw-baseline"}] if name == "joint-train" else [])
+        # joint-train refuses --raw-baseline with a checkpoint itself (exit 2)
+        assert not parser._mutually_exclusive_groups, name
         with pytest.raises(SystemExit) as exc:
             main([name, "--help"])
         assert exc.value.code == 0

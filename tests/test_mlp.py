@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from scdenoise.mlp import BLOCK_ACTIVATIONS, AdamState, Mlp, Workspace, adam_step
+from scdenoise.errors import DivergenceError
+from scdenoise.mlp import (BLOCK_ACTIVATIONS, AdamState, Mlp, Workspace, adam_step, fit,
+                           load_checkpoint, save_checkpoint)
 
 
 def numerical_grad(f, params, h=1e-6):
@@ -231,3 +233,80 @@ def test_all_finite_flag():
     assert net.all_finite()
     net.weights[0][0, 0] = np.nan
     assert not net.all_finite()
+
+
+def _batches(rng, steps, rows=16):
+    return [(rng.standard_normal((rows, 3)), rng.standard_normal((rows, 2))) for _ in range(steps)]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_fit_stops_at_non_finite_loss(k):
+    # a NaN target at step k: DivergenceError names step k before its Adam
+    # step, so the parameters are those after steps 0 .. k-1
+    data = _batches(np.random.default_rng(9), k + 2)
+    data[k] = (data[k][0], np.full_like(data[k][1], np.nan))
+    ref = Mlp([3, 8, 2], rng=np.random.default_rng(10))
+    losses = fit(ref, k, data.__getitem__, lambda step: 1e-2)
+    assert losses.shape == (k,) and np.all(np.isfinite(losses))
+    net = Mlp([3, 8, 2], rng=np.random.default_rng(10))
+    with pytest.raises(DivergenceError, match=f"non-finite loss at step {k}$"):
+        fit(net, k + 2, data.__getitem__, lambda step: 1e-2)
+    for got, want in zip(net.params, ref.params):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_fit_refuses_non_finite_parameters():
+    # finite losses throughout, but a learning rate that overflows the
+    # parameters on the last step
+    data = _batches(np.random.default_rng(11), 2)
+    net = Mlp([3, 8, 2], rng=np.random.default_rng(12))
+    with pytest.raises(DivergenceError, match="non-finite parameters after training"):
+        fit(net, 2, data.__getitem__, lambda step: 1e-2 if step == 0 else np.inf)
+
+
+def _checkpoint_file(path, **replace):
+    net = Mlp([3, 8, 2], rng=np.random.default_rng(13))
+    save_checkpoint(str(path), net, head="mean")
+    with np.load(path) as data:
+        arrays = {**data, **replace}
+    np.savez(path, **arrays)
+
+
+# Files that are not checkpoints: each must raise ValueError, never a
+# TypeError, MemoryError or zip error.
+MALFORMED_CHECKPOINTS = {
+    "0-d layer_sizes": lambda path: _checkpoint_file(path, layer_sizes=np.array(3)),
+    "2-d layer_sizes": lambda path: _checkpoint_file(path, layer_sizes=np.array([[3, 8, 2]])),
+    "column layer_sizes": lambda path: _checkpoint_file(path, layer_sizes=np.array([[3], [8], [2]])),
+    "float layer_sizes": lambda path: _checkpoint_file(path, layer_sizes=np.array([3.5, 8, 2])),
+    "huge layer_sizes": lambda path: _checkpoint_file(path, layer_sizes=np.array([3, 10**12, 2])),
+    "1-d version": lambda path: _checkpoint_file(path, version=np.array([1, 1])),
+    "complex version": lambda path: _checkpoint_file(path, version=np.array(1 + 1j)),
+    "float32 weights": lambda path: _checkpoint_file(path, w0=np.zeros((3, 8), np.float32)),
+    "zip header only": lambda path: path.write_bytes(b"PK\x03\x04 not a zip archive"),
+    "empty file": lambda path: path.write_bytes(b""),
+    "npy array": lambda path: _npy_file(path),
+}
+
+
+def _npy_file(path):
+    with path.open("wb") as f:
+        np.save(f, np.zeros(3))
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+def test_load_checkpoint_refuses_malformed_files(tmp_path, case):
+    path = tmp_path / "bad.npz"
+    MALFORMED_CHECKPOINTS[case](path)
+    with pytest.raises(ValueError):
+        load_checkpoint(str(path), "head")
+
+
+def test_load_checkpoint_roundtrip(tmp_path):
+    path = tmp_path / "good.npz"
+    _checkpoint_file(path)
+    net, head = load_checkpoint(str(path), "head")
+    ref = Mlp([3, 8, 2], rng=np.random.default_rng(13))
+    assert head == "mean" and net.layer_sizes == [3, 8, 2]
+    for got, want in zip(net.params, ref.params):
+        np.testing.assert_array_equal(got, want)
