@@ -206,15 +206,17 @@ def fit(net: Mlp, steps: int, batch, lr) -> np.ndarray:
 
     Step k trains on (x, target) = batch(k) at learning rate lr(k). A non-finite
     loss raises DivergenceError before its Adam step, as do non-finite
-    parameters after the last step.
+    parameters after the last step. Overflow and invalid values in the steps
+    raise no numpy warning: DivergenceError is the one report of them.
     """
     state, cache = AdamState(net.params), Workspace()
     losses = np.empty(steps)
-    for k in range(steps):
-        losses[k], grads = squared_error(net, *batch(k), cache)
-        if not np.isfinite(losses[k]):
-            raise DivergenceError(f"non-finite loss at step {k}")
-        adam_step(net.params, grads, state, lr(k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            losses[k], grads = squared_error(net, *batch(k), cache)
+            if not np.isfinite(losses[k]):
+                raise DivergenceError(f"non-finite loss at step {k}")
+            adam_step(net.params, grads, state, lr(k))
     if not net.all_finite():
         raise DivergenceError("non-finite parameters after training")
     return losses
