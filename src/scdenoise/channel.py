@@ -45,7 +45,14 @@ def complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) samples: unit total variance, 1/2 per real dimension."""
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    # each part times 1/sqrt(2), written in place: the bits of
+    # (re + 1j * im) / sqrt(2), whose complex division scales each part by
+    # the divisor's reciprocal, without its three complex temporaries
+    scale = 1.0 / np.sqrt(2.0)
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
 
 
 def snr_to_sigma(snr_db: float) -> float:

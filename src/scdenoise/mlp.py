@@ -1,11 +1,14 @@
 """Minimal fully-connected network with hand-written reverse-mode gradients and Adam.
 
-Kept deliberately small: tanh hidden layers, linear output, float64 throughout.
-The score network and the semantic decoder both build on it. They share its
-checkpoint format (a version tag, the layer sizes, the arrays `w{i}`/`b{i}`
-and one metadata string) and its one training loop, `fit`: Adam on the mean
-squared error, at beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, with only the
-learning rate set. `fit` owns one `Workspace`, which every step's `forward`
+Kept deliberately small: tanh hidden layers, linear output. Parameters,
+training and checkpoints are float64. Inference (`Mlp.__call__`) computes in
+the dtype of the parameters, so a float32 copy of a trained net, such as the
+one `score_model.model_score_fn` evaluates, runs in float32 and still returns
+float64. The score network and the semantic decoder both build on it. They
+share its checkpoint format (a version tag, the layer sizes, the arrays
+`w{i}`/`b{i}` and one metadata string) and its one training loop, `fit`: Adam
+on the mean squared error, at beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, with
+only the learning rate set. `fit` owns one `Workspace`, which every step's `forward`
 and `backward` reuse, and one `AdamState`, so a steady-state step allocates
 no whole-batch array; a call given no workspace allocates fresh arrays.
 `check_training` is the one check of a trainer's steps, batch size and rate.
@@ -25,12 +28,14 @@ __all__ = ["Mlp", "Workspace", "AdamState", "adam_step", "squared_error", "fit",
 CHECKPOINT_VERSION = 1
 
 # Inference splits a batch so that one layer's activations for a block take
-# about 64 KiB. Arrays that size stay on the malloc heap, below glibc's default
+# about 64 KiB: BLOCK_ACTIVATIONS float64 values, or twice as many float32
+# ones. Arrays that size stay on the malloc heap, below glibc's default
 # 128 KiB mmap and trim thresholds, so repeated calls reuse the same memory.
 # Whole-batch arrays of a few hundred KiB are handed back to the OS and
 # page-faulted in again on the next call whenever they end up at the top of
 # the heap, which depends on what else the process has allocated.
-BLOCK_ACTIVATIONS = 8192
+BLOCK_BYTES = 1 << 16
+BLOCK_ACTIVATIONS = BLOCK_BYTES // 8
 
 
 class Workspace:
@@ -111,17 +116,22 @@ class Mlp:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Inference: the output of `forward` without keeping its cache.
 
-        Rows run in blocks of `rows` (BLOCK_ACTIVATIONS over the widest layer),
-        the last block taking the remainder, between rows/2 and 3*rows/2 rows.
-        Starting every block on a multiple of `rows` and never leaving a
-        one-row tail (which numpy hands to gemv rather than gemm) keeps the
-        output bit-identical to `forward`'s on the project's networks for
+        x is cast to the parameters' dtype and every layer computes in it;
+        the output is float64 either way. With float64 parameters that is
+        `forward`'s arithmetic. Rows run in blocks of `rows` (BLOCK_BYTES over
+        the bytes of the widest layer's row), the last block taking the
+        remainder, between rows/2 and 3*rows/2 rows. Starting every block on a
+        multiple of `rows` and never leaving a one-row tail (which numpy hands
+        to gemv rather than gemm) keeps the output bit-identical to one
+        unblocked pass, `forward`'s for float64, on the project's networks for
         batches up to a few thousand rows.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        rows = max(BLOCK_ACTIVATIONS // max(self.layer_sizes), 1)
+        dtype = self.weights[0].dtype
+        x = np.atleast_2d(np.asarray(x, dtype=dtype))
+        rows = max(BLOCK_BYTES // (dtype.itemsize * max(self.layer_sizes)), 1)
         bounds = [k * rows for k in range(max(round(len(x) / rows), 1))] + [len(x)]
-        return np.concatenate([self._layers(x[a:b]) for a, b in zip(bounds, bounds[1:])])
+        return np.concatenate([self._layers(x[a:b]) for a, b in zip(bounds, bounds[1:])],
+                              dtype=np.float64)
 
     def backward(self, cache: Workspace, grad_out: np.ndarray):
         """Backpropagate d(loss)/d(output) through the forward pass in `cache`.

@@ -17,7 +17,9 @@ elementwise, so each symbol's output depends only on its own input and
 noise draws, whatever the batch shape: bit for bit with the exact score,
 and up to rounding with a learned one, whose matrix products BLAS computes
 with kernels chosen by problem size. Any (z, sigma) -> score callable
-works: the exact mixture oracle or a trained model.
+works: the exact mixture oracle or a trained model through
+`score_model.model_score_fn`, which evaluates the network in float32, so a
+learned score carries float32 rounding (about 1e-7 relative in D).
 """
 
 from __future__ import annotations

@@ -52,6 +52,19 @@ def test_awgn_noise_statistics():
         awgn_transmit(z0, -1.0, rng)
 
 
+@pytest.mark.parametrize("shape", [(), 1, 7, (3, 5), (2, 0), 2048])
+def test_complex_noise_bits_match_complex_division(shape):
+    # complex_noise scales each part by 1/sqrt(2) in place; that must give the
+    # bits of the complex expression it replaced, so every seeded output stays
+    for seed in (0, 1, 7, 2024):
+        got = complex_noise(stream_rng(seed, 3), shape)
+        rng = stream_rng(seed, 3)
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        want = (re + 1j * im) / np.sqrt(2.0)
+        assert np.shape(got) == np.shape(want) and got.dtype == np.complex128
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_complex_noise_unit_variance():
     rng = stream_rng(7, 0)
     eps = complex_noise(rng, 100_000)

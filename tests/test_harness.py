@@ -482,6 +482,32 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_checkpoint_beyond_float32(tmp_path, capsys):
+    # learned inference runs on a float32 copy of the net; a finite parameter
+    # that float32 cannot hold is a config error (exit 2, one stderr line, no
+    # numpy warning, no CSV), not an inf that the sampler runs on
+    net = Mlp([3, 8, 2], rng=stream_rng(2, 0))
+    net.weights[1][0, 0] = 1e39
+    ckpt = tmp_path / "huge.npz"
+    save_model(str(ckpt), MlpScoreModel(net=net))
+    out = tmp_path / "huge.csv"
+    message = "config error: score model has a finite parameter beyond float32's range"
+    runs = (["sweep", "--order", "4", "--trials", "1", "--modes", "raw,learned_pc",
+             "--checkpoint", str(ckpt), "--out", str(out)],
+            ["eval", "--checkpoint", str(ckpt)],
+            ["joint-train", "--order", "4", "--steps", "1", "--checkpoint", str(ckpt),
+             "--out", str(out)])
+    for argv in runs:
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv[0]
+        assert captured.err.startswith(message), argv[0]
+        assert not out.exists(), argv[0]
+
+
 @pytest.mark.parametrize("command", [["train-score"], ["joint-train"]])
 def test_cli_training_divergence(tmp_path, capsys, command):
     # a learning rate that overflows the parameters on the first Adam step:

@@ -68,6 +68,39 @@ def test_blocked_call_matches_forward_output(n):
     np.testing.assert_array_equal(got, net.forward(x)[0])
 
 
+def _float32_copy(net):
+    copy = Mlp(net.layer_sizes)
+    copy.weights = [w.astype(np.float32) for w in net.weights]
+    copy.biases = [b.astype(np.float32) for b in net.biases]
+    return copy
+
+
+def _one_block(net, x):
+    """`_layers`' arithmetic on the whole batch at once, in the parameters' dtype."""
+    h = x.astype(net.weights[0].dtype)
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w
+        h += b
+        if l < len(net.weights) - 1:
+            np.tanh(h, out=h)
+    return h
+
+
+@pytest.mark.parametrize("n", [129, 191, 192, 300, 512, 1025])
+def test_float32_blocked_call_matches_one_block(n):
+    # float32 parameters run inference in float32, in blocks of the same
+    # 64 KiB (twice the rows of a float64 block), and return float64; the
+    # block edges may not change a bit
+    rng = np.random.default_rng(5)
+    net = _float32_copy(Mlp([3, 64, 64, 2], rng=rng))
+    x = rng.standard_normal((n, 3))
+    got = net(x)
+    assert got.dtype == np.float64 and got.shape == (n, 2) and got.flags.c_contiguous
+    want = _one_block(net, x)
+    assert want.dtype == np.float32
+    np.testing.assert_array_equal(got, want.astype(np.float64))
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Mlp([5])

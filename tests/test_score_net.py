@@ -1,14 +1,19 @@
 """Tests for the score network and its denoising-score-matching training loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from scdenoise.channel import build_schedule, complex_noise, stream_rng
+from scdenoise.channel import (build_schedule, complex_noise, snr_to_sigma, snr_to_step,
+                               stream_rng)
 from scdenoise.codec import DecoderModel, save_decoder
 from scdenoise.constellation import ConstellationScheme, build_bpsk, build_square_qam
 from scdenoise.mlp import AdamState, Mlp, adam_step
 from scdenoise.oracle import mixture_score, oracle_score_fn
+from scdenoise.sampler import SamplerConfig, pc_sample
 from scdenoise.score_model import (
+    EVAL_SIGMAS,
     DsmConfig,
     MlpScoreModel,
     dsm_loss,
@@ -295,8 +300,99 @@ def test_relative_error_detects_mismatch():
     assert relative_score_error(wrong, scheme) == pytest.approx(0.5, rel=1e-6)
 
 
+def _float32_model(model):
+    net = Mlp(model.net.layer_sizes)
+    net.weights = [w.astype(np.float32) for w in model.net.weights]
+    net.biases = [b.astype(np.float32) for b in model.net.biases]
+    return MlpScoreModel(net=net)
+
+
 def test_model_score_fn_adapter():
+    # the adapter is forward_score on a float32 copy of the net, bit for bit
     model = MlpScoreModel(net=Mlp([3, 8, 2], rng=stream_rng(3, 0)))
     fn = model_score_fn(model)
-    z = np.array([0.1 + 0.9j])
-    np.testing.assert_array_equal(fn(z, 1.1), forward_score(model, z, 1.1))
+    rng = stream_rng(3, 1)
+    z = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
+    for sigma in (0.05, 1.1, 8.0):
+        got = fn(z, sigma)
+        assert got.dtype == np.complex128 and got.shape == z.shape
+        np.testing.assert_array_equal(got, forward_score(_float32_model(model), z, sigma))
+
+
+def test_model_score_fn_snapshots_and_leaves_the_net():
+    # the float32 copy is taken when the adapter is made: model.net keeps its
+    # float64 arrays, bit for bit, and a later change to it does not reach
+    # the adapter
+    model = MlpScoreModel(net=Mlp([3, 8, 2], rng=stream_rng(4, 0)))
+    before = [p.copy() for p in model.net.params]
+    arrays = [id(p) for p in model.net.params]
+    fn = model_score_fn(model)
+    z = np.array([0.3 - 0.2j, -1.0 + 0.5j])
+    first = fn(z, 0.7)
+    assert [id(p) for p in model.net.params] == arrays
+    for p, q in zip(model.net.params, before):
+        assert p.dtype == np.float64
+        np.testing.assert_array_equal(p, q)
+    model.net.biases[-1] += 1.0
+    np.testing.assert_array_equal(fn(z, 0.7), first)
+    assert not np.array_equal(model_score_fn(model)(z, 0.7), first)
+
+
+def test_model_score_fn_refuses_parameters_beyond_float32():
+    # a finite float64 parameter that float32 cannot hold is refused by name,
+    # with no overflow warning; NaN and inf stay what they are (the sampler
+    # and relative_score_error report them as divergence)
+    model = MlpScoreModel(net=Mlp([3, 8, 2], rng=stream_rng(5, 0)))
+    model.net.weights[0][1, 2] = -1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="beyond float32's range"):
+            model_score_fn(model)
+        for value in (np.nan, np.inf):
+            model.net.weights[0][1, 2] = value
+            model_score_fn(model)
+    model.net.weights[0][1, 2] = float(np.finfo(np.float32).max)
+    model_score_fn(model)
+
+
+def test_float32_inference_gap_on_trained_model():
+    # The adapter's only difference from float64 forward_score is float32
+    # rounding in D. A float32 dot product of length n is off by at most
+    # about n * eps of its terms' magnitude, so over the layers D moves by at
+    # most tol_d = eps * (sum of fan-ins) * max(1, |D|): a bound from float32's
+    # epsilon and the net's widths, not from measured gaps.
+    scheme = build_square_qam(16)
+    sched = build_schedule(0.01, 10.0, 64)
+    model, _ = train_score(scheme, DsmConfig(schedule=sched, hidden=(32, 32), steps=1500,
+                                             learning_rate=8e-3, seed=1))
+    fn32 = model_score_fn(model)
+    fn64 = lambda z, sigma: forward_score(model, z, sigma)  # noqa: E731
+    eps = float(np.finfo(np.float32).eps)
+    axis = np.linspace(-3.0, 3.0, 25)
+    re, im = np.meshgrid(axis, axis, indexing="ij")
+    z = (re + 1j * im).ravel()
+    d_max = max(np.max(np.abs(fn64(z, s) * s * s / 2 + z)) for s in EVAL_SIGMAS)
+    tol_d = eps * sum(model.net.layer_sizes[:-1]) * max(1.0, d_max)
+    for s in EVAL_SIGMAS:
+        assert np.max(np.abs(fn32(z, s) - fn64(z, s))) <= tol_d * 2 / s**2
+    # relative_score_error: by the triangle inequality its two values differ
+    # by at most sqrt(sum |ds|^2 / sum |s_exact|^2), with |ds| <= tol_d * 2/sigma^2
+    den = sum(float(np.sum(np.abs(mixture_score(z, s, scheme)) ** 2)) for s in EVAL_SIGMAS)
+    rel_tol = tol_d * np.sqrt(sum(z.size * (2 / s**2) ** 2 for s in EVAL_SIGMAS) / den)
+    rel32, rel64 = relative_score_error(fn32, scheme), relative_score_error(fn64, scheme)
+    assert abs(rel32 - rel64) <= rel_tol
+    # a seeded pc_sample: each level moves z by (dvar / 2) * s and the last
+    # step by (sigma^2 / 2) * s, so a gap of tol_d in D moves the output by at
+    # most delta = tol_d * (1 + sum dvar / sigma_hi^2); the MSE by at most
+    # delta * (2 * rms error + delta)
+    config = SamplerConfig(schedule=sched)
+    for snr in (-6.0, 6.0, 15.0):
+        z0 = scheme.points[stream_rng(6, 0).integers(0, scheme.order, size=1000)]
+        z_tilde = z0 + snr_to_sigma(snr) * complex_noise(stream_rng(6, 1), z0.size)
+        est32 = pc_sample(z_tilde, snr, fn32, config, stream_rng(6, 2))
+        est64 = pc_sample(z_tilde, snr, fn64, config, stream_rng(6, 2))
+        sig = np.concatenate([[snr_to_sigma(snr)], sched.sigmas[:snr_to_step(snr, sched) - 1][::-1]])
+        delta = tol_d * (1.0 + np.sum((sig[:-1] ** 2 - sig[1:] ** 2) / sig[:-1] ** 2))
+        assert np.max(np.abs(est32 - est64)) <= delta, snr
+        mse32, mse64 = np.mean(np.abs(est32 - z0) ** 2), np.mean(np.abs(est64 - z0) ** 2)
+        assert abs(mse32 - mse64) <= delta * (2 * np.sqrt(mse64) + delta), snr
