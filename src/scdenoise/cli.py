@@ -15,7 +15,7 @@ import numpy as np
 from . import codec, score_model, sweep as sweep_mod
 from .channel import stream_rng
 from .errors import DivergenceError
-from .oracle import mixture_score, oracle_score_fn
+from .oracle import mixture_score
 from .sweep import write_csv
 
 
@@ -37,15 +37,6 @@ def _experiment_config(args) -> sweep_mod.ExperimentConfig:
     mapping = sweep_mod.parse_config_file(args.config) if args.config else {}
     mapping.update(_given(args, FLAG_FIELDS))  # a flag overrides the config file's value
     return sweep_mod.ExperimentConfig.from_mapping(mapping)
-
-
-def _score_fn_for(config):
-    """The learned score of config.checkpoint (from --checkpoint or the config
-    file), else the exact oracle score."""
-    if config.checkpoint:
-        model = score_model.load_model(config.checkpoint)
-        return score_model.model_score_fn(model)
-    return oracle_score_fn(config.scheme())
 
 
 def cmd_constellation(args) -> int:
@@ -75,10 +66,12 @@ def cmd_train_score(args) -> int:
         settings["hidden"] = tuple(int(h) for h in args.hidden.split(","))
     dsm = score_model.DsmConfig(schedule=config.schedule(), seed=config.master_seed, **settings)
     model, trace = score_model.train_score(config.scheme(), dsm)
+    # the score error builds the float32 adapter; either refuses a model
+    # that the sampler could not use, so nothing is written then
+    rel = score_model.relative_score_error(score_model.model_score_fn(model), config.scheme())
     score_model.save_model(args.out, model)
     if args.trace:
         write_csv(args.trace, "step,loss", enumerate(trace))
-    rel = score_model.relative_score_error(score_model.model_score_fn(model), config.scheme())
     print(f"trained {dsm.steps} steps; final loss {trace[-1]:.4g}; "
           f"relative score error {rel:.4f}; checkpoint {args.out}")
     return 0
@@ -86,10 +79,8 @@ def cmd_train_score(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _experiment_config(args)
-    model = score_model.load_model(args.checkpoint)
-    rel = score_model.relative_score_error(
-        score_model.model_score_fn(model), config.scheme()
-    )
+    score_fn = sweep_mod.score_fn(config, learned=True)
+    rel = score_model.relative_score_error(score_fn, config.scheme())
     print(f"relative score error vs exact mixture score: {rel:.4f}")
     return 0
 
@@ -137,8 +128,9 @@ def cmd_joint_train(args) -> int:
     rng = stream_rng(config.master_seed, 200)
     dec = codec.DecoderModel.build(args.source_dim // 2, args.source_dim, rng=rng)
     train_cfg = codec.JointTrainConfig(**_given(args, TRAIN_FLAGS))
+    learned = config.checkpoint is not None  # from --checkpoint or the config file
     # the raw baseline denoises nothing, so it builds no score function
-    score_fn = None if args.raw_baseline else _score_fn_for(config)
+    score_fn = None if args.raw_baseline else sweep_mod.score_fn(config, learned=learned)
     dec, trace = codec.joint_train(
         enc, dec, score_fn, config.sampler_config(), config.schedule(), train_cfg, rng
     )

@@ -152,11 +152,8 @@ def joint_train(
 
 
 def save_decoder(path: str, dec: DecoderModel) -> None:
-    save_checkpoint(path, dec.net, kind="decoder")
+    save_checkpoint(path, dec.net, "kind", "decoder")
 
 
 def load_decoder(path: str) -> DecoderModel:
-    net, kind = load_checkpoint(path, "kind")
-    if kind != "decoder":
-        raise ValueError(f"{path} holds a {kind!r} model, not a decoder")
-    return DecoderModel(net=net)
+    return DecoderModel(net=load_checkpoint(path, "kind", "decoder"))

@@ -6,7 +6,8 @@ the dtype of the parameters, so a float32 copy of a trained net, such as the
 one `score_model.model_score_fn` evaluates, runs in float32 and still returns
 float64. The score network and the semantic decoder both build on it. They
 share its checkpoint format (a version tag, the layer sizes, the arrays
-`w{i}`/`b{i}` and one metadata string) and its one training loop, `fit`: Adam
+`w{i}`/`b{i}` and one kind marker, a key and its string value, which
+`load_checkpoint` checks) and its one training loop, `fit`: Adam
 on the mean squared error, at beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, with
 only the learning rate set. `fit` owns one `Workspace`, which every step's `forward`
 and `backward` reuse, and one `AdamState`, so a steady-state step allocates
@@ -241,36 +242,38 @@ def check_training(steps: int, batch_size: int, learning_rate: float) -> None:
         raise ValueError("batch_size and steps must each be at least 1")
 
 
-def save_checkpoint(path: str, net: Mlp, **meta: str) -> None:
-    """Write `net` and its string metadata (e.g. head="mean") to an .npz file."""
+def save_checkpoint(path: str, net: Mlp, key: str, kind: str) -> None:
+    """Write `net` and its kind marker key=kind (e.g. head="mean") to an .npz file."""
     arrays = {f"w{i}": w for i, w in enumerate(net.weights)}
     arrays.update({f"b{i}": b for i, b in enumerate(net.biases)})
-    np.savez(path, version=CHECKPOINT_VERSION, **meta, layer_sizes=np.array(net.layer_sizes),
-             **arrays)
+    np.savez(path, version=CHECKPOINT_VERSION, **{key: kind},
+             layer_sizes=np.array(net.layer_sizes), **arrays)
 
 
-def load_checkpoint(path: str, meta_key: str) -> tuple[Mlp, str]:
-    """Read a checkpoint written by `save_checkpoint`; returns (net, meta[meta_key]).
+def load_checkpoint(path: str, key: str, kind: str) -> Mlp:
+    """Read the net of a checkpoint that `save_checkpoint` wrote with key=kind.
 
     Any other file raises ValueError: one that is not an .npz archive, one
-    without `meta_key` (another kind of model), an unknown version, layer
-    sizes that are not a 1-D integer array, and parameters that are not
-    float64 arrays of the shapes the layer sizes give.
+    whose `key` is missing or is not `kind` (another kind of model), an
+    unknown version, layer sizes that are not a 1-D integer array, and
+    parameters that are not float64 arrays of the shapes the layer sizes give.
     """
     try:
         with open(path, "rb") as file:  # np.load leaves a path open when zipfile raises
             data = np.load(file, allow_pickle=False)
             if not isinstance(data, np.lib.npyio.NpzFile):
                 raise ValueError(f"{path} is an .npy array, not an .npz archive")
-            return _read_checkpoint(path, data, meta_key)
+            return _read_checkpoint(path, data, key, kind)
     except (EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path} is not a readable .npz archive: {exc}") from exc
 
 
-def _read_checkpoint(path: str, data, meta_key: str) -> tuple[Mlp, str]:
-    missing = [k for k in ("version", "layer_sizes", meta_key) if k not in data.files]
+def _read_checkpoint(path: str, data, key: str, kind: str) -> Mlp:
+    missing = [k for k in ("version", "layer_sizes", key) if k not in data.files]
     if missing:
         raise ValueError(f"{path} is not a checkpoint of this kind (no {', '.join(missing)})")
+    if (found := str(data[key])) != kind:
+        raise ValueError(f"{path}: {key} {found!r} is not {kind!r}")
     version, sizes = data["version"], data["layer_sizes"]
     if version.shape != () or version.dtype.kind not in "iu" or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version.tolist()}")
@@ -279,10 +282,10 @@ def _read_checkpoint(path: str, data, meta_key: str) -> tuple[Mlp, str]:
     sizes = sizes.tolist()
     shapes = {f"w{i}": pair for i, pair in enumerate(zip(sizes, sizes[1:]))}
     shapes.update({f"b{i}": (n,) for i, n in enumerate(sizes[1:])})
-    for key, shape in shapes.items():  # checked before Mlp allocates anything
-        if key not in data.files or data[key].shape != shape or data[key].dtype != float:
-            raise ValueError(f"{path}: {key} is not a float64 array of shape {shape}")
+    for name, shape in shapes.items():  # checked before Mlp allocates anything
+        if name not in data.files or data[name].shape != shape or data[name].dtype != float:
+            raise ValueError(f"{path}: {name} is not a float64 array of shape {shape}")
     net = Mlp(sizes)
     net.weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
     net.biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
-    return net, str(data[meta_key])
+    return net

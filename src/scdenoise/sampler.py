@@ -80,9 +80,9 @@ def denoise_from_level(
     sigma_level and must lie in (sigma_{level-1}, sigma_level]; the first
     predictor step goes from it straight to sigma_{level-1}.
     `observer(level, sigma, z)` is called on the starting `z` and after each
-    completed level, for convergence tracing. Raises `DivergenceError` if the
-    result is not finite (a non-finite state stays non-finite through the later
-    levels, so the result is checked once, not once per level).
+    completed level, for convergence tracing. Raises `DivergenceError`, and no
+    numpy warning, if the result is not finite (a non-finite state stays
+    non-finite through the later levels, so the result is checked once).
     """
     sched = config.schedule
     if not 1 <= level <= sched.n_steps:
@@ -95,15 +95,16 @@ def denoise_from_level(
     if observer is not None:
         observer(level, sigma_start, z)
     sigma_hi = sigma_start
-    for i in range(level - 1, 0, -1):
-        sigma_lo = sched.sigma(i)
-        z = predictor_step(z, score_fn, sigma_hi, sigma_lo, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(level - 1, 0, -1):
+            sigma_lo = sched.sigma(i)
+            z = predictor_step(z, score_fn, sigma_hi, sigma_lo, rng)
+            if observer is not None:
+                observer(i, sigma_lo, z)
+            sigma_hi = sigma_lo
+        z = z + (sigma_hi**2 / 2.0) * score_fn(z, sigma_hi)
         if observer is not None:
-            observer(i, sigma_lo, z)
-        sigma_hi = sigma_lo
-    z = z + (sigma_hi**2 / 2.0) * score_fn(z, sigma_hi)
-    if observer is not None:
-        observer(0, 0.0, z)
+            observer(0, 0.0, z)
     if not np.all(np.isfinite(z)):
         raise DivergenceError(f"non-finite sampler output from level {level}")
     return z

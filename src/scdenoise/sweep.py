@@ -30,8 +30,8 @@ from .metrics import mse, ser
 from .oracle import mmse_bound, oracle_score_fn, posterior_mean
 from .sampler import SamplerConfig, pc_sample
 
-__all__ = ["SweepRecord", "ExperimentConfig", "run_sweep", "emit_scatter", "write_sweep_csv",
-           "write_csv"]
+__all__ = ["SweepRecord", "ExperimentConfig", "score_fn", "run_sweep", "emit_scatter",
+           "write_sweep_csv", "write_csv"]
 
 SWEEP_MODES = ("raw", "mmse", "oracle_pc", "learned_pc")
 
@@ -140,6 +140,17 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+def score_fn(config: ExperimentConfig, learned: bool):
+    """The sampler's score for a command: the float32 adapter of the model in
+    config.checkpoint if `learned`, else the exact oracle score. A learned
+    score with no checkpoint raises ValueError."""
+    if not learned:
+        return oracle_score_fn(config.scheme())
+    if config.checkpoint is None:
+        raise ValueError("learned_pc mode requires a checkpoint")
+    return score_model.model_score_fn(score_model.load_model(config.checkpoint))
+
+
 def run_sweep(config: ExperimentConfig, observer=None):
     """One SweepRecord per (snr, mode). All modes of a trial share the same
     channel realization, so estimator comparisons are paired. Each mode
@@ -155,14 +166,8 @@ def run_sweep(config: ExperimentConfig, observer=None):
     It draws nothing, so the records do not depend on it."""
     scheme = config.scheme()
     sampler_cfg = config.sampler_config()
-    score_fns = {}
-    if "oracle_pc" in config.modes:
-        score_fns["oracle_pc"] = oracle_score_fn(scheme)
-    if "learned_pc" in config.modes:
-        if config.checkpoint is None:
-            raise ValueError("learned_pc mode requires a checkpoint")
-        model = score_model.load_model(config.checkpoint)
-        score_fns["learned_pc"] = score_model.model_score_fn(model)
+    score_fns = {mode: score_fn(config, mode == "learned_pc")
+                 for mode in config.modes if mode.endswith("_pc")}
 
     records = []
     for si, snr_db in enumerate(config.snr_grid):

@@ -256,7 +256,7 @@ def test_criterion_7_bpsk_ser_anchor():
 
 def test_criterion_8_determinism(tmp_path):
     cfg = ExperimentConfig(order=16, n_steps=32, n_symbols=64, trials=4,
-                           snr_grid=(-12.0, 0.0), mmse_trials=10_000,
+                           snr_grid=(-12.0, 0.0),
                            modes=("raw", "mmse", "oracle_pc"), master_seed=5)
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     write_sweep_csv(run_sweep(cfg), str(p1))

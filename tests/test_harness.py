@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from scdenoise.channel import awgn_transmit, complex_noise, snr_to_sigma, snr_to_step, stream_rng
+from scdenoise import sweep
 from scdenoise.cli import build_parser, main
 from scdenoise.codec import (
     DecoderModel,
@@ -34,7 +35,7 @@ from scdenoise.sweep import (
 
 def tiny_config(**kw):
     base = dict(order=4, n_steps=16, n_symbols=32, trials=4,
-                snr_grid=(-12.0, 0.0), mmse_trials=5000,
+                snr_grid=(-12.0, 0.0),
                 modes=("raw", "mmse"), master_seed=1)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -475,7 +476,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite relative score error nan" in captured.err
-    cfg = write_cfg(tmp_path, "snr_grid=0\nmmse_trials=1000\n")
+    cfg = write_cfg(tmp_path, "snr_grid=0\n")
     out = tmp_path / "nan.csv"
     assert main(["sweep", "--config", str(cfg), "--modes", "raw,learned_pc",
                  "--checkpoint", str(nan_ckpt), "--trials", "1", "--out", str(out)]) == 3
@@ -522,6 +523,61 @@ def test_cli_training_divergence(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err == "numerical divergence: non-finite loss at step 1\n"
     assert not out.exists() and not trace.exists()
+
+
+@pytest.mark.parametrize("rate,code,message", [
+    ("3e38", 2, "config error: score model has a finite parameter beyond float32's range"),
+    ("1e38", 3, "numerical divergence: non-finite relative score error inf"),
+], ids=["beyond-float32", "overflow"])
+def test_cli_train_score_writes_nothing_on_failure(tmp_path, capsys, rate, code, message):
+    # training ends with finite float64 parameters, but the float32 score
+    # that train-score prints the error of is out of range (3e38) or
+    # overflows (1e38): the command fails before it writes a file
+    out, trace = tmp_path / "model.npz", tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train-score", "--order", "4", "--steps", "5", "--hidden", "8",
+                     "--learning-rate", rate, "--out", str(out), "--trace", str(trace)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(message)
+    assert not out.exists() and not trace.exists()
+
+
+def test_cli_float32_overflow_raises_no_warning(tmp_path, capsys):
+    # every parameter fits in float32 (the largest is about 2e38), but the
+    # float32 activations overflow: eval and a learned sweep exit 3 with
+    # their one line, no numpy warning and no CSV
+    config = ExperimentConfig(order=4)
+    model, _ = train_score(config.scheme(), DsmConfig(schedule=config.schedule(), hidden=(8,),
+                                                      steps=5, learning_rate=1e38))
+    assert max(np.abs(p).max() for p in model.net.params) < np.finfo(np.float32).max
+    ckpt, out = tmp_path / "overflow.npz", tmp_path / "overflow.csv"
+    save_model(str(ckpt), model)
+    runs = {"eval": ["eval", "--order", "4", "--checkpoint", str(ckpt)],
+            "sweep": ["sweep", "--order", "4", "--trials", "1", "--modes", "raw,learned_pc",
+                      "--checkpoint", str(ckpt), "--out", str(out)]}
+    for name, argv in runs.items():
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 3, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, name
+        assert captured.err.startswith("numerical divergence: non-finite"), name
+        assert not out.exists(), name
+
+
+def test_cli_joint_train_takes_the_sweep_score(tmp_path, monkeypatch):
+    # joint-train with no checkpoint denoises with the score that
+    # sweep.score_fn picks, the oracle that sweep.oracle_score_fn builds: a
+    # NaN score in its place makes the command exit 3 and write nothing
+    monkeypatch.setattr(sweep, "oracle_score_fn",
+                        lambda scheme: lambda z, sigma: np.full(np.shape(z), np.nan + 0j))
+    out = tmp_path / "dec.npz"
+    assert main(["joint-train", "--order", "4", "--source-dim", "4", "--steps", "2",
+                 "--batch-size", "8", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 # Every CSV a subcommand writes: (arguments, the flag naming the CSV, header,

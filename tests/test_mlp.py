@@ -299,7 +299,7 @@ def test_fit_refuses_non_finite_parameters():
 
 def _checkpoint_file(path, **replace):
     net = Mlp([3, 8, 2], rng=np.random.default_rng(13))
-    save_checkpoint(str(path), net, head="mean")
+    save_checkpoint(str(path), net, "head", "mean")
     with np.load(path) as data:
         arrays = {**data, **replace}
     np.savez(path, **arrays)
@@ -319,6 +319,7 @@ MALFORMED_CHECKPOINTS = {
     "zip header only": lambda path: path.write_bytes(b"PK\x03\x04 not a zip archive"),
     "empty file": lambda path: path.write_bytes(b""),
     "npy array": lambda path: _npy_file(path),
+    "other kind": lambda path: _checkpoint_file(path, head=np.array("noise")),
 }
 
 
@@ -332,14 +333,17 @@ def test_load_checkpoint_refuses_malformed_files(tmp_path, case):
     path = tmp_path / "bad.npz"
     MALFORMED_CHECKPOINTS[case](path)
     with pytest.raises(ValueError):
-        load_checkpoint(str(path), "head")
+        load_checkpoint(str(path), "head", "mean")
 
 
 def test_load_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "good.npz"
     _checkpoint_file(path)
-    net, head = load_checkpoint(str(path), "head")
+    with np.load(path) as data:  # one kind marker beside the net's arrays
+        assert data.files == ["version", "head", "layer_sizes", "w0", "w1", "b0", "b1"]
+        assert str(data["head"]) == "mean"
+    net = load_checkpoint(str(path), "head", "mean")
     ref = Mlp([3, 8, 2], rng=np.random.default_rng(13))
-    assert head == "mean" and net.layer_sizes == [3, 8, 2]
+    assert net.layer_sizes == [3, 8, 2]
     for got, want in zip(net.params, ref.params):
         np.testing.assert_array_equal(got, want)
