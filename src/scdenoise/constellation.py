@@ -67,6 +67,20 @@ class ConstellationScheme:
         object.__setattr__(self, "axis_levels", (re_levels, im_levels))
         object.__setattr__(self, "grid_index", index)
 
+    def per_axis(self, fn, z: np.ndarray) -> np.ndarray:
+        """fn(x, levels) on every coordinate of the symbols z against its own
+        axis' levels: 2 * z.size results, 1-D, in z's interleaved (re, im)
+        order. When both axes share one level array, fn makes one call over
+        the interleaved float64 view: on 2048 64-QAM symbols, BLAS pinned to
+        1 thread, 135 us against 186 us for one call per axis in
+        `oracle.posterior_mean`, and 119 against 205 us in `demodulate_hard`.
+        """
+        x = np.ascontiguousarray(z, dtype=np.complex128).reshape(-1).view(np.float64)
+        re_levels, im_levels = self.axis_levels
+        if re_levels is im_levels:
+            return fn(x, re_levels)
+        return np.stack([fn(x[0::2], re_levels), fn(x[1::2], im_levels)], axis=1).ravel()
+
 
 def _gray(k: int) -> int:
     return k ^ (k >> 1)
@@ -121,16 +135,8 @@ def demodulate_hard(values: np.ndarray, scheme: ConstellationScheme) -> np.ndarr
     the lower one, on every scheme: BPSK detects Re z = 0 as the point -1.
     """
     values = np.asarray(values, dtype=np.complex128)
-    re_levels, im_levels = scheme.axis_levels
-    x = np.ascontiguousarray(values).reshape(-1).view(np.float64)
-    if re_levels is im_levels:
-        # one pass over the interleaved view: on 2048 64-QAM symbols it took
-        # 119 us against 205 us for two strided passes
-        k = _nearest_level(x, re_levels)
-        i, j = k[0::2], k[1::2]
-    else:
-        i, j = _nearest_level(x[0::2], re_levels), _nearest_level(x[1::2], im_levels)
-    return scheme.grid_index[i, j].reshape(values.shape)
+    k = scheme.per_axis(_nearest_level, values)
+    return scheme.grid_index[k[0::2], k[1::2]].reshape(values.shape)
 
 
 def _nearest_level(x: np.ndarray, levels: np.ndarray) -> np.ndarray:

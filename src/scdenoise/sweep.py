@@ -85,6 +85,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown sweep mode {mode!r}")
             if mode in self.modes[:mi]:
                 raise ValueError(f"repeated sweep mode {mode!r}")
+        # an invalid order or schedule is refused here, by every command
+        self.scheme(), self.schedule()
 
     def scheme(self):
         if self.order == 2:

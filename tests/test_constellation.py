@@ -149,11 +149,69 @@ def test_non_product_point_sets_rejected():
         with pytest.raises(ValueError, match="not the product grid"):
             ConstellationScheme(points=points, bit_map=("",) * points.size)
     # a rectangular grid is accepted, with its own levels per axis
-    rect = ConstellationScheme(points=np.array([-1, 1, -1 - 1j, 1 - 1j, -1 + 2j, 1 + 2j]),
-                               bit_map=("",) * 6)
+    rect = _rect_grid()
     np.testing.assert_array_equal(rect.axis_levels[0], [-1.0, 1.0])
     np.testing.assert_array_equal(rect.axis_levels[1], [-1.0, 0.0, 2.0])
     assert np.array_equal(demodulate_hard(rect.points + 0.1, rect), np.arange(6))
+
+
+def _rect_grid():
+    """The 2 x 3 grid {-1, 1} x {-1, 0, 2}: each axis has its own levels."""
+    return ConstellationScheme(points=np.array([-1, 1, -1 - 1j, 1 - 1j, -1 + 2j, 1 + 2j]),
+                               bit_map=("",) * 6)
+
+
+def _recording(fn):
+    """fn, and the list of (x, levels) pairs it is called with."""
+    calls = []
+
+    def wrapped(x, levels):
+        calls.append((x.copy(), levels))
+        return fn(x, levels)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_per_axis_one_call_on_shared_levels(order):
+    scheme = build_square_qam(order)
+    rng = np.random.default_rng(order)
+    z = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    fn, calls = _recording(lambda x, levels: x + 1.0)
+    out = scheme.per_axis(fn, z)
+    # one call on the whole interleaved view, against the shared levels
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], z.reshape(-1).view(np.float64))
+    assert calls[0][1] is scheme.axis_levels[0]
+    assert out.shape == (2 * z.size,) and out.dtype == np.float64
+    np.testing.assert_array_equal(out.view(np.complex128).reshape(z.shape), z + (1 + 1j))
+
+
+@pytest.mark.parametrize("name", ["bpsk", "rect"])
+def test_per_axis_one_call_per_axis(name):
+    scheme = build_bpsk() if name == "bpsk" else _rect_grid()
+    z = np.random.default_rng(5).standard_normal((2, 4)) + 1j * np.arange(8).reshape(2, 4)
+    # the number of levels marks which axis a result came from
+    fn, calls = _recording(lambda x, levels: np.full(x.size, levels.size, dtype=np.intp))
+    out = scheme.per_axis(fn, z)
+    assert len(calls) == 2
+    assert all(got is levels for (_, got), levels in zip(calls, scheme.axis_levels))
+    assert np.array_equal(calls[0][0], z.real.ravel())
+    assert np.array_equal(calls[1][0], z.imag.ravel())
+    # interleaved (re, im) results, in fn's dtype
+    assert out.dtype == np.intp
+    assert np.array_equal(out, np.tile([level.size for level in scheme.axis_levels], z.size))
+    mean = scheme.per_axis(lambda x, levels: x + levels.size, z)
+    assert mean.dtype == np.float64
+    np.testing.assert_array_equal(mean.view(np.complex128).reshape(z.shape),
+                                  z + complex(*(level.size for level in scheme.axis_levels)))
+
+
+def test_demodulate_rect_grid_matches_all_points():
+    scheme = _rect_grid()
+    rng = np.random.default_rng(6)
+    values = 2.0 * (rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64)))
+    assert np.array_equal(demodulate_hard(values, scheme), _nearest_of_all_points(values, scheme))
 
 
 @pytest.mark.parametrize("order", [4, 16, 64])

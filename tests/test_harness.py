@@ -84,7 +84,12 @@ def test_config_from_mapping_and_validation():
                            ({"scatter_trials": "0"}, "scatter_trials must be at least 1, got 0"),
                            ({"modes": "raw,mmse,raw"}, "repeated sweep mode 'raw'"),
                            ({"snr_grid": ""}, "snr_grid and modes must each name at least one"),
-                           ({"modes": ""}, "snr_grid and modes must each name at least one")):
+                           ({"modes": ""}, "snr_grid and modes must each name at least one"),
+                           # refused when the config is built, not by the
+                           # commands that use the scheme or the schedule
+                           ({"order": "3"}, "unsupported QAM order 3"),
+                           ({"n_steps": "1"}, "need at least 2 schedule steps"),
+                           ({"sigma_min": "20"}, "need 0 < sigma_min < sigma_max")):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_mapping(empty)
     # every field parses from its default written as a string
@@ -457,6 +462,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["scatter", "--step", "8", "--config", str(cfg), "--out", str(out)]) == 2
     assert "scatter_trials must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+    # an unsupported order, refused by a command that builds no scheme
+    cfg = write_cfg(tmp_path, "order=3\n")
+    sched_out = tmp_path / "schedule.csv"
+    capsys.readouterr()
+    assert main(["schedule", "--config", str(cfg), "--out", str(sched_out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unsupported QAM order 3; expected one of (4, 16, 64)"]
+    assert not sched_out.exists()
     # a directory where a file is expected
     assert main(["constellation", "--out", str(tmp_path)]) == 2
     assert main(["eval", "--checkpoint", str(tmp_path)]) == 2

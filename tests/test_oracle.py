@@ -219,6 +219,9 @@ def _scheme(name):
         "qam4": lambda: build_square_qam(4),
         "qam16": lambda: build_square_qam(16),
         "qam64": lambda: build_square_qam(64),
+        # a 2 x 3 grid: the axes have different levels, two and three of them
+        "rect": lambda: ConstellationScheme(
+            points=np.array([-1, 1, -1 - 1j, 1 - 1j, -1 + 2j, 1 + 2j]), bit_map=("",) * 6),
     }[name]()
 
 
@@ -235,11 +238,11 @@ def _equivalence_input(shape):
 
 @pytest.mark.parametrize("shape", [(), (64,), (4, 32), "far"])
 @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.5, 5.0, 10.0])
-@pytest.mark.parametrize("name", ["bpsk", "qam4", "qam16", "qam64", "qpsk_rot45"])
+@pytest.mark.parametrize("name", ["bpsk", "qam4", "qam16", "qam64", "qpsk_rot45", "rect"])
 def test_per_axis_path_matches_general_path(name, sigma, shape):
     scheme = _scheme(name)
     re_levels, im_levels = scheme.axis_levels
-    assert (re_levels is im_levels) == (name != "bpsk")
+    assert (re_levels is im_levels) == (name not in ("bpsk", "rect"))
     rot = QPSK_ROTATION if name == "qpsk_rot45" else 1.0
     z = _equivalence_input(shape)
     ref_mean = _reference_mean(z, sigma, rot * scheme.points)
