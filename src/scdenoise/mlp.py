@@ -1,18 +1,21 @@
 """Minimal fully-connected network with hand-written reverse-mode gradients and Adam.
 
-Kept deliberately small: tanh hidden layers, linear output. Parameters,
-training and checkpoints are float64. Inference (`Mlp.__call__`) computes in
-the dtype of the parameters, so a float32 copy of a trained net, such as the
-one `score_model.model_score_fn` evaluates, runs in float32 and still returns
-float64. The score network and the semantic decoder both build on it. They
-share its checkpoint format (a version tag, the layer sizes, the arrays
-`w{i}`/`b{i}` and one kind marker, a key and its string value, which
-`load_checkpoint` checks) and its one training loop, `fit`: Adam
-on the mean squared error, at beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, with
-only the learning rate set. `fit` owns one `Workspace`, which every step's `forward`
-and `backward` reuse, and one `AdamState`, so a steady-state step allocates
-no whole-batch array; a call given no workspace allocates fresh arrays.
-`check_training` is the one check of a trainer's steps, batch size and rate.
+Kept deliberately small: tanh hidden layers, linear output. Parameters and
+checkpoints are float64. `forward`, `backward` and inference (`Mlp.__call__`)
+compute in the dtype of the parameters, so a float32 copy of a net
+(`Mlp.astype`) runs in float32; inference still returns float64. The score
+network and the semantic decoder both build on it. They share its checkpoint
+format (a version tag, the layer sizes, the arrays `w{i}`/`b{i}` and one kind
+marker, a key and its string value, which `load_checkpoint` checks) and its one
+training loop, `fit`: Adam on the mean squared error, at beta1 = 0.9, beta2 =
+0.999 and eps = 1e-8, with only the learning rate set. `fit` trains in mixed
+precision: each step's forward and backward pass run on a float32 copy of the
+net, and Adam updates the net's own float64 parameters (its master weights)
+from the float32 gradients. `fit` owns the copy, one `Workspace`, which every
+step's `forward` and `backward` reuse, and one `AdamState`, so a steady-state
+step allocates no whole-batch array; a call given no workspace allocates fresh
+arrays. `check_training` is the one check of a trainer's steps, batch size and
+rate.
 """
 
 from __future__ import annotations
@@ -46,18 +49,19 @@ class Workspace:
     the input, acts[l + 1] layer l's output) and `Mlp.backward` adds the tanh
     derivatives, the deltas and the parameter gradients. A call reuses an
     array only when it has the shape the call needs (same net, same batch
-    size) and otherwise puts a new one in its place.
+    size, same dtype) and otherwise puts a new one in its place.
     """
 
     def __init__(self):
         self.acts: list[np.ndarray] = []
         self._arrays: dict = {}
 
-    def array(self, key, shape) -> np.ndarray:
-        """The array kept under `key`, replaced by a new one unless it has `shape`."""
+    def array(self, key, shape, dtype) -> np.ndarray:
+        """The array kept under `key`, replaced by a new one unless it has
+        `shape` and `dtype`."""
         a = self._arrays.get(key)
-        if a is None or a.shape != shape:
-            a = self._arrays[key] = np.empty(shape)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[key] = np.empty(shape, dtype)
         return a
 
 
@@ -84,6 +88,16 @@ class Mlp:
     def params(self) -> list[np.ndarray]:
         return self.weights + self.biases
 
+    def astype(self, dtype) -> Mlp:
+        """A copy of the net with every parameter cast to `dtype`.
+
+        A float64 value beyond the range of `dtype` becomes inf in the copy.
+        """
+        copy = Mlp(self.layer_sizes)
+        copy.weights = [w.astype(dtype) for w in self.weights]
+        copy.biases = [b.astype(dtype) for b in self.biases]
+        return copy
+
     def _layers(self, x: np.ndarray, cache: Workspace | None = None) -> np.ndarray:
         """Run x through every layer, writing each layer's output into `cache`
         and appending it to cache.acts when given. Each layer works in place
@@ -92,7 +106,7 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = None if cache is None else cache.array(("act", l), (len(x), w.shape[1]))
+            out = None if cache is None else cache.array(("act", l), (len(x), w.shape[1]), w.dtype)
             h = np.matmul(h, w, out=out)
             h += b
             if l < last:
@@ -104,12 +118,14 @@ class Mlp:
     def forward(self, x: np.ndarray, cache: Workspace | None = None):
         """Returns (output, cache). x has shape (batch, n_in).
 
-        Without `cache` the call allocates a new Workspace. Given one, such as
-        `fit`'s, it writes into its arrays wherever the batch size is unchanged,
-        overwriting the previous call's activations and output. The workspace
-        keeps a reference to x, which backward reads.
+        x is cast to the parameters' dtype, and the output and the cached
+        activations are in it. Without `cache` the call allocates a new
+        Workspace. Given one, such as `fit`'s, it writes into its arrays
+        wherever the batch size is unchanged, overwriting the previous call's
+        activations and output. The workspace keeps a reference to x (to its
+        cast copy, if x is in another dtype), which backward reads.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(np.asarray(x, dtype=self.weights[0].dtype))
         cache = Workspace() if cache is None else cache
         cache.acts = [x]
         return self._layers(x, cache), cache
@@ -137,28 +153,31 @@ class Mlp:
     def backward(self, cache: Workspace, grad_out: np.ndarray):
         """Backpropagate d(loss)/d(output) through the forward pass in `cache`.
 
-        Returns the parameter gradients, ordered like self.params; the
-        gradient with respect to the input is not computed. The gradients,
-        deltas and tanh derivatives are arrays of `cache`, so the next
-        backward through the same workspace overwrites the gradients returned
-        here. grad_out is read, never written.
+        Returns the parameter gradients, ordered like self.params and in
+        their dtype, to which grad_out is cast; the gradient with respect to
+        the input is not computed. The gradients, deltas and tanh derivatives
+        are arrays of `cache`, so the next backward through the same workspace
+        overwrites the gradients returned here. grad_out is read, never
+        written.
         """
         acts = cache.acts
         n_layers = len(self.weights)
-        grads = [cache.array(("grad", i), p.shape) for i, p in enumerate(self.params)]
-        delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
+        dtype = self.weights[0].dtype
+        grads = [cache.array(("grad", i), p.shape, dtype) for i, p in enumerate(self.params)]
+        delta = np.atleast_2d(np.asarray(grad_out, dtype=dtype))
         for l in range(n_layers - 1, -1, -1):
             if l < n_layers - 1:
                 # undo the tanh: acts[l+1] is the post-activation value, and
                 # delta is the workspace's own array, so it is scaled in place
-                deriv = np.square(acts[l + 1], out=cache.array(("deriv", l), acts[l + 1].shape))
+                deriv = np.square(acts[l + 1],
+                                  out=cache.array(("deriv", l), acts[l + 1].shape, dtype))
                 np.subtract(1.0, deriv, out=deriv)
                 delta *= deriv
             np.matmul(acts[l].T, delta, out=grads[l])
             np.sum(delta, axis=0, out=grads[n_layers + l])
             if l > 0:
                 w = self.weights[l]
-                out = cache.array(("delta", l), (len(delta), w.shape[0]))
+                out = cache.array(("delta", l), (len(delta), w.shape[0]), dtype)
                 delta = np.matmul(delta, w.T, out=out)
         return grads
 
@@ -205,7 +224,9 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
 def squared_error(net: Mlp, x: np.ndarray, target: np.ndarray,
                   cache: Workspace | None = None):
     """The mean over rows of |net(x) - target|^2 and its gradients, ordered
-    like net.params. With `cache` the gradients are its arrays (see `forward`)."""
+    like net.params. With `cache` the gradients are its arrays (see `forward`).
+    The net's output is in its parameters' dtype, and the residual and the
+    loss are in the wider of that and target's dtype."""
     out, cache = net.forward(x, cache)
     resid = out - target
     loss = float(np.mean(np.sum(resid**2, axis=-1)))
@@ -215,19 +236,26 @@ def squared_error(net: Mlp, x: np.ndarray, target: np.ndarray,
 def fit(net: Mlp, steps: int, batch, lr) -> np.ndarray:
     """Minimize `squared_error` by Adam; returns the loss of every step.
 
-    Step k trains on (x, target) = batch(k) at learning rate lr(k). A non-finite
-    loss raises DivergenceError before its Adam step, as do non-finite
-    parameters after the last step. Overflow and invalid values in the steps
-    raise no numpy warning: DivergenceError is the one report of them.
+    Step k trains on (x, target) = batch(k) at learning rate lr(k). Its forward
+    and backward pass run on one float32 copy of `net`, so the gradients carry
+    float32 rounding; the loss is float64, against the float64 target. Adam
+    updates net.params in place, in their own dtype, and the copy is then
+    refreshed from them, so net keeps its parameter arrays and their dtype.
+    A non-finite loss raises DivergenceError before its Adam step, as do
+    non-finite parameters after the last step. Overflow and invalid values in
+    the steps raise no numpy warning: DivergenceError is the one report of them.
     """
     state, cache = AdamState(net.params), Workspace()
     losses = np.empty(steps)
     with np.errstate(over="ignore", invalid="ignore"):
+        net32 = net.astype(np.float32)
         for k in range(steps):
-            losses[k], grads = squared_error(net, *batch(k), cache)
+            losses[k], grads = squared_error(net32, *batch(k), cache)
             if not np.isfinite(losses[k]):
                 raise DivergenceError(f"non-finite loss at step {k}")
             adam_step(net.params, grads, state, lr(k))
+            for p32, p in zip(net32.params, net.params):
+                np.copyto(p32, p)
     if not net.all_finite():
         raise DivergenceError("non-finite parameters after training")
     return losses

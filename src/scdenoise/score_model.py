@@ -12,10 +12,12 @@ Training regresses D onto z0. That is denoising score matching: with weight
 sigma^4/4, the penalty on s against the conditional score
 -2 (z_i - z0) / sigma^2 equals |D - z0|^2 exactly (Vincent, 2011).
 
-Training and checkpoints are float64. The sampler interface,
-`model_score_fn`, evaluates D on a float32 copy of the network (mixed
-precision: full-precision master weights, lower-precision evaluation), so
-its scores match float64 `forward_score` up to float32 rounding.
+Parameters and checkpoints are float64, and training and the sampler compute
+in float32 (mixed precision: full-precision master weights, lower-precision
+arithmetic). `train_score` trains through `mlp.fit`, whose steps run on a
+float32 copy of the network while Adam updates the float64 parameters. The
+sampler interface, `model_score_fn`, evaluates D on a float32 copy of the
+network, so its scores match float64 `forward_score` up to float32 rounding.
 """
 
 from __future__ import annotations
@@ -104,23 +106,20 @@ def forward_score(model: MlpScoreModel, z: np.ndarray, sigma: float) -> np.ndarr
 def model_score_fn(model: MlpScoreModel):
     """Adapt a trained model to the (z, sigma) -> score sampler interface.
 
-    The adapter evaluates `forward_score` on a float32 copy of model.net,
-    taken once, here: model.net stays float64 and untouched, and later changes
-    to it do not reach the adapter. Training and checkpoints stay float64;
-    only this inference runs in float32, which moves a score by about float32
-    rounding and costs about 40% of a float64 pass. A finite parameter beyond
-    float32's range raises ValueError rather than becoming inf in the copy.
+    The adapter evaluates `forward_score` on a float32 copy of model.net
+    (`Mlp.astype`), taken once, here: model.net stays float64 and untouched,
+    and later changes to it do not reach the adapter. Checkpoints stay
+    float64; this inference runs in float32, which moves a score by about
+    float32 rounding and costs about 40% of a float64 pass. A finite parameter
+    beyond float32's range raises ValueError rather than becoming inf in the
+    copy.
     """
-    params = model.net.params
     with np.errstate(over="ignore"):
-        params32 = [p.astype(np.float32) for p in params]
-    if any(np.any(np.isinf(q) & np.isfinite(p)) for p, q in zip(params, params32)):
+        net32 = model.net.astype(np.float32)
+    if any(np.any(np.isinf(q) & np.isfinite(p)) for p, q in zip(model.net.params, net32.params)):
         raise ValueError("score model has a finite parameter beyond float32's range "
                          f"(magnitude above {np.finfo(np.float32).max:.4g})")
-    net = Mlp(model.net.layer_sizes)
-    n_layers = len(net.weights)
-    net.weights, net.biases = params32[:n_layers], params32[n_layers:]
-    snapshot = MlpScoreModel(net=net)
+    snapshot = MlpScoreModel(net=net32)
 
     def score(z: np.ndarray, sigma: float) -> np.ndarray:
         return forward_score(snapshot, z, sigma)

@@ -155,15 +155,17 @@ def test_joint_train_decreases_loss_and_is_deterministic():
 
 @pytest.mark.parametrize("denoise", [False, True])
 def test_joint_train_matches_fresh_array_loop(denoise):
-    # reusing one workspace across steps changes no bit of the trace or of
-    # the trained decoder, with and without the sampler in the loop
+    # training on one float32 copy of the decoder's net through one
+    # workspace changes no bit of the trace or of the trained float64
+    # decoder, with and without the sampler in the loop
     scheme, sched, enc = small_setup(64)
     sampler_cfg = SamplerConfig(schedule=sched)
     cfg = JointTrainConfig(steps=20, batch_size=64, learning_rate=2e-3)
     fn = oracle_score_fn(scheme) if denoise else None
     dec, trace = joint_train(enc, DecoderModel.build(4, 8, rng=stream_rng(13, 0)), fn,
                              sampler_cfg, sched, cfg, stream_rng(13, 1))
-    # the same loop, with fresh arrays for every forward and backward
+    # the same loop with fresh arrays: a new float32 copy of the net for every
+    # forward and backward, and Adam on the float64 parameters
     ref = DecoderModel.build(4, 8, rng=stream_rng(13, 0))
     rng = stream_rng(13, 1)
     state = AdamState(ref.net.params)
@@ -174,13 +176,15 @@ def test_joint_train_matches_fresh_array_loop(denoise):
         z = forward_diffuse(encode(x, enc), level, sched, rng)
         if denoise:
             z = denoise_from_level(z, level, fn, sampler_cfg, rng)
-        out, cache = ref.net.forward(z.view(np.float64))
+        net32 = ref.net.astype(np.float32)
+        out, cache = net32.forward(z.view(np.float64))
         resid = out - x
-        grads = ref.net.backward(cache, (2.0 / cfg.batch_size) * resid)
+        grads = net32.backward(cache, (2.0 / cfg.batch_size) * resid)
         adam_step(ref.net.params, grads, state, lr=cfg.learning_rate)
         ref_trace.append((np.mean(np.sum(resid**2, axis=-1)), level))
     np.testing.assert_array_equal(trace, np.array(ref_trace))
     for got, want in zip(dec.net.params, ref.net.params):
+        assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
 
 

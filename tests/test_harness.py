@@ -538,18 +538,24 @@ def test_cli_training_divergence(tmp_path, capsys, command):
     assert not out.exists() and not trace.exists()
 
 
-@pytest.mark.parametrize("rate,code,message", [
-    ("3e38", 2, "config error: score model has a finite parameter beyond float32's range"),
-    ("1e38", 3, "numerical divergence: non-finite relative score error inf"),
-], ids=["beyond-float32", "overflow"])
-def test_cli_train_score_writes_nothing_on_failure(tmp_path, capsys, rate, code, message):
-    # training ends with finite float64 parameters, but the float32 score
-    # that train-score prints the error of is out of range (3e38) or
-    # overflows (1e38): the command fails before it writes a file
+@pytest.mark.parametrize("steps,rate,code,message", [
+    ("5", "3e38", 3, "numerical divergence: non-finite loss at step 1"),
+    ("5", "1e38", 3, "numerical divergence: non-finite loss at step 1"),
+    ("1", "1e39", 2, "config error: score model has a finite parameter beyond float32's range"),
+    ("1", "3e38", 3, "numerical divergence: non-finite relative score error inf"),
+], ids=["beyond-float32", "overflow", "last-step-beyond-float32", "last-step-overflow"])
+def test_cli_train_score_writes_nothing_on_failure(tmp_path, capsys, steps, rate, code,
+                                                   message):
+    # training steps compute in float32, so a first Adam step that moves the
+    # parameters by about 3e38 or 1e38 makes the next loss non-finite. When
+    # that step is the last one, training ends with finite float64
+    # parameters, but the float32 score that train-score prints the error of
+    # is out of range (1e39) or overflows (3e38). Either way the command
+    # fails before it writes a file
     out, trace = tmp_path / "model.npz", tmp_path / "trace.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["train-score", "--order", "4", "--steps", "5", "--hidden", "8",
+        assert main(["train-score", "--order", "4", "--steps", steps, "--hidden", "8",
                      "--learning-rate", rate, "--out", str(out), "--trace", str(trace)]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
@@ -558,15 +564,17 @@ def test_cli_train_score_writes_nothing_on_failure(tmp_path, capsys, rate, code,
 
 
 def test_cli_float32_overflow_raises_no_warning(tmp_path, capsys):
-    # every parameter fits in float32 (the largest is about 2e38), but the
-    # float32 activations overflow: eval and a learned sweep exit 3 with
+    # every parameter fits in float32 (the largest is 2e38), but the float32
+    # activations overflow: each hidden unit reads tanh(1) and each output
+    # sums eight of them at weight 2e38. eval and a learned sweep exit 3 with
     # their one line, no numpy warning and no CSV
-    config = ExperimentConfig(order=4)
-    model, _ = train_score(config.scheme(), DsmConfig(schedule=config.schedule(), hidden=(8,),
-                                                      steps=5, learning_rate=1e38))
-    assert max(np.abs(p).max() for p in model.net.params) < np.finfo(np.float32).max
+    net = Mlp([3, 8, 2])
+    net.biases[0][:] = 1.0
+    net.weights[1][:] = 2e38
+    assert max(np.abs(p).max() for p in net.params) < np.finfo(np.float32).max
+    assert np.all(np.isfinite(net(np.zeros((1, 3)))))  # finite in float64
     ckpt, out = tmp_path / "overflow.npz", tmp_path / "overflow.csv"
-    save_model(str(ckpt), model)
+    save_model(str(ckpt), MlpScoreModel(net=net))
     runs = {"eval": ["eval", "--order", "4", "--checkpoint", str(ckpt)],
             "sweep": ["sweep", "--order", "4", "--trials", "1", "--modes", "raw,learned_pc",
                       "--checkpoint", str(ckpt), "--out", str(out)]}

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from scdenoise import mlp
 from scdenoise.errors import DivergenceError
 from scdenoise.mlp import (BLOCK_ACTIVATIONS, AdamState, Mlp, Workspace, adam_step, fit,
-                           load_checkpoint, save_checkpoint)
+                           load_checkpoint, save_checkpoint, squared_error)
 
 
 def numerical_grad(f, params, h=1e-6):
@@ -68,13 +69,6 @@ def test_blocked_call_matches_forward_output(n):
     np.testing.assert_array_equal(got, net.forward(x)[0])
 
 
-def _float32_copy(net):
-    copy = Mlp(net.layer_sizes)
-    copy.weights = [w.astype(np.float32) for w in net.weights]
-    copy.biases = [b.astype(np.float32) for b in net.biases]
-    return copy
-
-
 def _one_block(net, x):
     """`_layers`' arithmetic on the whole batch at once, in the parameters' dtype."""
     h = x.astype(net.weights[0].dtype)
@@ -92,13 +86,29 @@ def test_float32_blocked_call_matches_one_block(n):
     # 64 KiB (twice the rows of a float64 block), and return float64; the
     # block edges may not change a bit
     rng = np.random.default_rng(5)
-    net = _float32_copy(Mlp([3, 64, 64, 2], rng=rng))
+    net = Mlp([3, 64, 64, 2], rng=rng).astype(np.float32)
     x = rng.standard_normal((n, 3))
     got = net(x)
     assert got.dtype == np.float64 and got.shape == (n, 2) and got.flags.c_contiguous
     want = _one_block(net, x)
     assert want.dtype == np.float32
     np.testing.assert_array_equal(got, want.astype(np.float64))
+
+
+def test_astype_copies_every_parameter():
+    # a cast copy owns its arrays: the net keeps its float64 arrays, and a
+    # change to either side does not reach the other
+    net = Mlp([3, 8, 5, 2], rng=np.random.default_rng(14))
+    arrays = list(net.params)
+    for dtype in (np.float32, np.float64):
+        copy = net.astype(dtype)
+        assert copy.layer_sizes == net.layer_sizes
+        for got, want in zip(copy.params, net.params):
+            assert got.dtype == dtype and not np.shares_memory(got, want)
+            np.testing.assert_array_equal(got, want.astype(dtype))
+    assert all(p is q and p.dtype == np.float64 for p, q in zip(net.params, arrays))
+    copy.weights[0][0, 0] += 1.0
+    assert copy.weights[0][0, 0] != net.weights[0][0, 0]
 
 
 def test_constructor_validation():
@@ -133,30 +143,34 @@ def _step(net, x, target, cache=None):
 def test_reused_workspace_matches_fresh_arrays(sizes):
     # two steps on different inputs through one workspace: the second writes
     # into the first one's arrays, and neither changes a bit of its output or
-    # gradients against fresh-array calls
+    # gradients against fresh-array calls; for the net and its float32 copy,
+    # all of them are in the parameters' dtype, though the inputs are float64
     rng = np.random.default_rng(6)
-    net = Mlp(sizes, rng=rng)
+    net64 = Mlp(sizes, rng=rng)
     x1, x2 = rng.standard_normal((2, 256, 3))
     t1, t2 = rng.standard_normal((2, 256, sizes[-1]))
-    results = []
-    cache = Workspace()
-    for x, t in ((x1, t1), (x2, t2)):
-        out, grads, cache_out = _step(net, x, t, cache)
-        assert cache_out is cache
-        ref_out, ref_grads, _ = _step(net, x, t)
-        np.testing.assert_array_equal(out, ref_out)
-        for got, want in zip(grads, ref_grads):
-            np.testing.assert_array_equal(got, want)
-        results.append((out, grads, list(cache.acts)))
-    (out1, grads1, acts1), (out2, grads2, acts2) = results
-    assert np.shares_memory(out1, out2)
-    for a, b in zip(acts1[1:] + grads1, acts2[1:] + grads2):  # all but the input
-        assert np.shares_memory(a, b)
-    # backward reads grad_out without writing it
-    grad_out = out2 - t1
-    grad_before = grad_out.copy()
-    net.backward(cache, grad_out)
-    np.testing.assert_array_equal(grad_out, grad_before)
+    for dtype in (np.float64, np.float32):
+        net = net64.astype(dtype)
+        results = []
+        cache = Workspace()
+        for x, t in ((x1, t1), (x2, t2)):
+            out, grads, cache_out = _step(net, x, t, cache)
+            assert cache_out is cache
+            assert all(a.dtype == dtype for a in [out, *grads, *cache.acts])
+            ref_out, ref_grads, _ = _step(net, x, t)
+            np.testing.assert_array_equal(out, ref_out)
+            for got, want in zip(grads, ref_grads):
+                np.testing.assert_array_equal(got, want)
+            results.append((out, grads, list(cache.acts)))
+        (out1, grads1, acts1), (out2, grads2, acts2) = results
+        assert np.shares_memory(out1, out2)
+        for a, b in zip(acts1[1:] + grads1, acts2[1:] + grads2):  # all but the input
+            assert np.shares_memory(a, b)
+        # backward reads grad_out without writing it
+        grad_out = out2 - t1
+        grad_before = grad_out.copy()
+        net.backward(cache, grad_out)
+        np.testing.assert_array_equal(grad_out, grad_before)
 
 
 def test_workspace_of_another_batch_shape_is_not_reused():
@@ -175,13 +189,15 @@ def test_workspace_of_another_batch_shape_is_not_reused():
         assert a.shape != b.shape and not np.shares_memory(a, b)
     # the gradients' shapes do not depend on the batch, so they stay in place
     assert all(np.shares_memory(a, b) for a, b in zip(grads_small, grads))
-    # a net of other widths gets arrays of its own shapes
-    other = Mlp([3, 4, 2], rng=rng)
-    out_other, grads_other, _ = _step(other, x, t, cache)
-    ref_out, ref_grads, _ = _step(other, x, t)
-    np.testing.assert_array_equal(out_other, ref_out)
-    for got, want in zip(grads_other, ref_grads):
-        np.testing.assert_array_equal(got, want)
+    # a net of other widths gets arrays of its own shapes, and a float32
+    # copy of the first net arrays of its own dtype
+    for other in (Mlp([3, 4, 2], rng=rng), net.astype(np.float32)):
+        out_other, grads_other, _ = _step(other, x, t, cache)
+        ref_out, ref_grads, _ = _step(other, x, t)
+        np.testing.assert_array_equal(out_other, ref_out)
+        for got, want in zip(grads_other, ref_grads):
+            np.testing.assert_array_equal(got, want)
+    assert not any(np.shares_memory(a, b) for a, b in zip(grads_other, grads))
 
 
 def _adam_reference(params, grads, m, v, t, lr):
@@ -295,6 +311,81 @@ def test_fit_refuses_non_finite_parameters():
     net = Mlp([3, 8, 2], rng=np.random.default_rng(12))
     with pytest.raises(DivergenceError, match="non-finite parameters after training"):
         fit(net, 2, data.__getitem__, lambda step: 1e-2 if step == 0 else np.inf)
+
+
+def _abs_gradient_terms(net, x, target):
+    """For each gradient of the float64 `squared_error` pass, ordered like
+    net.params, the sum over rows of |layer input| * |delta|: the magnitude
+    of the terms that the gradient sums."""
+    acts = [x]
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = acts[-1] @ w + b
+        acts.append(np.tanh(h) if l < len(net.weights) - 1 else h)
+    n_layers = len(net.weights)
+    terms = [None] * (2 * n_layers)
+    delta = (2.0 / len(x)) * (acts[-1] - target)
+    for l in range(n_layers - 1, -1, -1):
+        if l < n_layers - 1:
+            delta = delta * (1.0 - acts[l + 1] ** 2)
+        terms[l] = np.abs(acts[l]).T @ np.abs(delta)
+        terms[n_layers + l] = np.sum(np.abs(delta), axis=0)
+        delta = delta @ net.weights[l].T
+    return terms
+
+
+def test_fit_step_gradients_within_float32_rounding(monkeypatch):
+    # fit's step runs forward and backward on a float32 copy of the net. A
+    # float32 sum of n terms is off by at most about n * eps times the sum of
+    # their magnitudes, and every factor carries the rounding of the layers
+    # before it; so each gradient moves from the float64 one of
+    # squared_error by at most eps * (rows + sum of widths) * sum |a| |delta|.
+    # The loss, from outputs that move by tol_out = eps * (sum of fan-ins) *
+    # max(1, |out|), moves by at most mean(sum(2 |r| tol_out + tol_out^2)).
+    # Bounds from float32's epsilon, the batch and the widths, not from
+    # measured gaps.
+    rng = np.random.default_rng(15)
+    net = Mlp([3, 128, 128, 2], rng=rng)
+    x, target = rng.standard_normal((256, 3)), rng.standard_normal((256, 2))
+    want_loss, want = squared_error(net, x, target)
+    seen = []
+
+    def spy(params, grads, state, lr):
+        seen.append([g.copy() for g in grads])
+        adam_step(params, grads, state, lr)
+
+    monkeypatch.setattr(mlp, "adam_step", spy)
+    losses = fit(net.astype(np.float64), 1, lambda step: (x, target), lambda step: 1e-3)
+    (got,) = seen
+    eps = float(np.finfo(np.float32).eps)
+    scale = eps * (len(x) + sum(net.layer_sizes))
+    for g32, g64, terms in zip(got, want, _abs_gradient_terms(net, x, target)):
+        assert g32.dtype == np.float32
+        assert np.all(np.abs(g32 - g64) <= scale * terms)
+    out = net(x)
+    resid = np.abs(out - target)
+    tol_out = eps * sum(net.layer_sizes[:-1]) * max(1.0, np.max(np.abs(out)))
+    assert abs(losses[0] - want_loss) <= np.mean(np.sum(2 * resid * tol_out + tol_out**2, axis=-1))
+    assert losses[0] != want_loss  # the step did compute in float32
+
+
+def test_fit_keeps_float64_parameter_arrays(tmp_path):
+    # Adam updates the caller's arrays in place: after fit the net has the
+    # same float64 array objects, trained, and its checkpoint holds them
+    data = _batches(np.random.default_rng(16), 5)
+    net = Mlp([3, 8, 8, 2], rng=np.random.default_rng(17))
+    arrays = list(net.params)
+    before = [p.copy() for p in arrays]
+    fit(net, 5, data.__getitem__, lambda step: 1e-2)
+    assert all(p is q and p.dtype == np.float64 for p, q in zip(net.params, arrays))
+    assert all(not np.array_equal(p, q) for p, q in zip(net.params, before))
+    path = tmp_path / "trained.npz"
+    save_checkpoint(str(path), net, "head", "mean")
+    with np.load(path) as saved:
+        assert saved.files == ["version", "head", "layer_sizes", "w0", "w1", "w2", "b0", "b1", "b2"]
+    loaded = load_checkpoint(str(path), "head", "mean")
+    for got, want in zip(loaded.params, net.params):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
 
 
 def _checkpoint_file(path, **replace):

@@ -215,26 +215,27 @@ def test_train_deterministic():
 
 
 def _train_score_fresh(scheme, config):
-    """train_score's loop with no workspace passed back: every step's forward
-    and backward allocate fresh arrays."""
+    """train_score's loop with fresh arrays on every step: a new float32 copy
+    of the net, whose forward and backward allocate their own arrays, and
+    Adam on the float64 parameters."""
     rng = stream_rng(config.seed, 0)
     net = Mlp([3, *config.hidden, 2], rng=rng)
-    model = MlpScoreModel(net=net)
     state = AdamState(net.params)
     trace = []
     for step in range(config.steps):
         z0 = scheme.points[rng.integers(0, scheme.order, size=config.batch_size)]
-        loss, grads = dsm_loss(model, z0, config.schedule, rng)
+        loss, grads = dsm_loss(MlpScoreModel(net=net.astype(np.float32)), z0, config.schedule, rng)
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.steps))
         adam_step(net.params, grads, state, lr=max(lr, config.learning_rate * 0.01))
         trace.append(loss)
-    return model, np.array(trace)
+    return MlpScoreModel(net=net), np.array(trace)
 
 
 @pytest.mark.parametrize("hidden", [(8,), (128, 128)])
 def test_train_score_matches_fresh_array_loop(hidden):
-    # reusing one workspace across steps changes no bit of the loss trace or
-    # of the trained parameters
+    # training computes on one float32 copy of the net, refreshed in place
+    # after each Adam step, through one workspace; neither changes a bit of
+    # the loss trace or of the trained float64 parameters
     cfg = DsmConfig(schedule=build_schedule(0.01, 10.0, 64), hidden=hidden, steps=20,
                     learning_rate=8e-3, seed=12)
     scheme = build_square_qam(64)
@@ -242,6 +243,7 @@ def test_train_score_matches_fresh_array_loop(hidden):
     ref_model, ref_trace = _train_score_fresh(scheme, cfg)
     np.testing.assert_array_equal(trace, ref_trace)
     for got, want in zip(model.net.params, ref_model.net.params):
+        assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
 
 
@@ -300,23 +302,17 @@ def test_relative_error_detects_mismatch():
     assert relative_score_error(wrong, scheme) == pytest.approx(0.5, rel=1e-6)
 
 
-def _float32_model(model):
-    net = Mlp(model.net.layer_sizes)
-    net.weights = [w.astype(np.float32) for w in model.net.weights]
-    net.biases = [b.astype(np.float32) for b in model.net.biases]
-    return MlpScoreModel(net=net)
-
-
 def test_model_score_fn_adapter():
     # the adapter is forward_score on a float32 copy of the net, bit for bit
     model = MlpScoreModel(net=Mlp([3, 8, 2], rng=stream_rng(3, 0)))
     fn = model_score_fn(model)
+    ref = MlpScoreModel(net=model.net.astype(np.float32))
     rng = stream_rng(3, 1)
     z = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
     for sigma in (0.05, 1.1, 8.0):
         got = fn(z, sigma)
         assert got.dtype == np.complex128 and got.shape == z.shape
-        np.testing.assert_array_equal(got, forward_score(_float32_model(model), z, sigma))
+        np.testing.assert_array_equal(got, forward_score(ref, z, sigma))
 
 
 def test_model_score_fn_snapshots_and_leaves_the_net():
