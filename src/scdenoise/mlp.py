@@ -8,14 +8,15 @@ network and the semantic decoder both build on it. They share its checkpoint
 format (a version tag, the layer sizes, the arrays `w{i}`/`b{i}` and one kind
 marker, a key and its string value, which `load_checkpoint` checks) and its one
 training loop, `fit`: Adam on the mean squared error, at beta1 = 0.9, beta2 =
-0.999 and eps = 1e-8, with only the learning rate set. `fit` trains in mixed
-precision: each step's forward and backward pass run on a float32 copy of the
-net, and Adam updates the net's own float64 parameters (its master weights)
-from the float32 gradients. `fit` owns the copy, one `Workspace`, which every
-step's `forward` and `backward` reuse, and one `AdamState`, so a steady-state
-step allocates no whole-batch array; a call given no workspace allocates fresh
-arrays. `check_training` is the one check of a trainer's steps, batch size and
-rate.
+0.999 and eps = 1e-8, with only the learning rate set. `fit` trains in
+float32: the weights and biases of its float32 net are views of one flat
+parameter vector, `backward` writes the gradients into views of one flat
+gradient vector, and one Adam pass updates the whole vector in place. The
+net's own float64 arrays receive the trained values when `fit` returns or
+raises. `fit` owns the vectors, one `Workspace`, which every step's `forward`
+and `backward` reuse, and one `AdamState`, so a steady-state step allocates
+no whole-batch array; a call given no workspace allocates fresh arrays.
+`check_training` is the one check of a trainer's steps, batch size and rate.
 """
 
 from __future__ import annotations
@@ -63,6 +64,25 @@ class Workspace:
         if a is None or a.shape != shape or a.dtype != dtype:
             a = self._arrays[key] = np.empty(shape, dtype)
         return a
+
+    def flat(self, key, shapes, dtype) -> np.ndarray:
+        """A new flat array whose views, shaped `shapes` in turn, become the
+        arrays kept under (key, 0), (key, 1), ...; a call that asks for one
+        of them at its shape and dtype writes into the flat array."""
+        flat = np.empty(sum(int(np.prod(s)) for s in shapes), dtype)
+        for i, view in enumerate(_views(flat, shapes)):
+            self._arrays[(key, i)] = view
+        return flat
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the 1-D array `flat`, shaped `shapes` in turn."""
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
 
 
 class Mlp:
@@ -226,36 +246,52 @@ def squared_error(net: Mlp, x: np.ndarray, target: np.ndarray,
     """The mean over rows of |net(x) - target|^2 and its gradients, ordered
     like net.params. With `cache` the gradients are its arrays (see `forward`).
     The net's output is in its parameters' dtype, and the residual and the
-    loss are in the wider of that and target's dtype."""
+    loss are in the wider of that and target's dtype; the gradient of the
+    loss with respect to the output, (2/n) * residual, is computed in the
+    residual's dtype and stored in a workspace array of the output's."""
     out, cache = net.forward(x, cache)
     resid = out - target
     loss = float(np.mean(np.sum(resid**2, axis=-1)))
-    return loss, net.backward(cache, (2.0 / len(resid)) * resid)
+    grad_out = np.multiply(2.0 / len(resid), resid,
+                           out=cache.array("grad_out", resid.shape, out.dtype))
+    return loss, net.backward(cache, grad_out)
 
 
 def fit(net: Mlp, steps: int, batch, lr) -> np.ndarray:
     """Minimize `squared_error` by Adam; returns the loss of every step.
 
-    Step k trains on (x, target) = batch(k) at learning rate lr(k). Its forward
-    and backward pass run on one float32 copy of `net`, so the gradients carry
-    float32 rounding; the loss is float64, against the float64 target. Adam
-    updates net.params in place, in their own dtype, and the copy is then
-    refreshed from them, so net keeps its parameter arrays and their dtype.
-    A non-finite loss raises DivergenceError before its Adam step, as do
-    non-finite parameters after the last step. Overflow and invalid values in
-    the steps raise no numpy warning: DivergenceError is the one report of them.
+    Step k trains on (x, target) = batch(k) at learning rate float(lr(k)).
+    Training runs on a float32 net whose parameters are views of one flat
+    float32 vector, cast from net.params; the loss is float64, against the
+    float64 target. `backward` writes the gradients into views of one flat
+    float32 vector, and `adam_step` updates the parameter vector in place with
+    it, so every step's arithmetic and every update is float32. When fit
+    returns or raises, net.params receive the trained float32 values in place,
+    so net keeps its float64 arrays. A non-finite loss raises DivergenceError
+    before its Adam step, leaving the parameters of the steps before it, and
+    so do non-finite parameters after the last step. Overflow and invalid
+    values in the steps raise no numpy warning: DivergenceError is the one
+    report of them.
     """
-    state, cache = AdamState(net.params), Workspace()
+    shapes = [p.shape for p in net.params]
+    cache = Workspace()
+    grad = cache.flat("grad", shapes, np.float32)
+    net32 = Mlp(net.layer_sizes)
     losses = np.empty(steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        net32 = net.astype(np.float32)
-        for k in range(steps):
-            losses[k], grads = squared_error(net32, *batch(k), cache)
-            if not np.isfinite(losses[k]):
-                raise DivergenceError(f"non-finite loss at step {k}")
-            adam_step(net.params, grads, state, lr(k))
-            for p32, p in zip(net32.params, net.params):
-                np.copyto(p32, p)
+        theta = np.concatenate([p.ravel() for p in net.params], dtype=np.float32)
+        views = _views(theta, shapes)
+        net32.weights, net32.biases = views[:len(net.weights)], views[len(net.weights):]
+        state = AdamState([theta])
+        try:
+            for k in range(steps):
+                losses[k], _ = squared_error(net32, *batch(k), cache)
+                if not np.isfinite(losses[k]):
+                    raise DivergenceError(f"non-finite loss at step {k}")
+                adam_step([theta], [grad], state, float(lr(k)))
+        finally:
+            for p, view in zip(net.params, views):
+                np.copyto(p, view)
     if not net.all_finite():
         raise DivergenceError("non-finite parameters after training")
     return losses

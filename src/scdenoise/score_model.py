@@ -13,11 +13,11 @@ sigma^4/4, the penalty on s against the conditional score
 -2 (z_i - z0) / sigma^2 equals |D - z0|^2 exactly (Vincent, 2011).
 
 Parameters and checkpoints are float64, and training and the sampler compute
-in float32 (mixed precision: full-precision master weights, lower-precision
-arithmetic). `train_score` trains through `mlp.fit`, whose steps run on a
-float32 copy of the network while Adam updates the float64 parameters. The
-sampler interface, `model_score_fn`, evaluates D on a float32 copy of the
-network, so its scores match float64 `forward_score` up to float32 rounding.
+in float32. `train_score` trains through `mlp.fit`, which keeps the
+parameters in float32 while it trains, Adam updates included, and writes them
+into the float64 network at the end. The sampler interface,
+`model_score_fn`, evaluates D on a float32 copy of the network, so its scores
+match float64 `forward_score` up to float32 rounding.
 """
 
 from __future__ import annotations

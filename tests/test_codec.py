@@ -155,20 +155,22 @@ def test_joint_train_decreases_loss_and_is_deterministic():
 
 @pytest.mark.parametrize("denoise", [False, True])
 def test_joint_train_matches_fresh_array_loop(denoise):
-    # training on one float32 copy of the decoder's net through one
-    # workspace changes no bit of the trace or of the trained float64
-    # decoder, with and without the sampler in the loop
+    # training on one flat float32 parameter vector through one workspace
+    # changes no bit of the trace or of the trained float64 decoder, with and
+    # without the sampler in the loop
     scheme, sched, enc = small_setup(64)
     sampler_cfg = SamplerConfig(schedule=sched)
     cfg = JointTrainConfig(steps=20, batch_size=64, learning_rate=2e-3)
     fn = oracle_score_fn(scheme) if denoise else None
     dec, trace = joint_train(enc, DecoderModel.build(4, 8, rng=stream_rng(13, 0)), fn,
                              sampler_cfg, sched, cfg, stream_rng(13, 1))
-    # the same loop with fresh arrays: a new float32 copy of the net for every
-    # forward and backward, and Adam on the float64 parameters
+    # the same loop with fresh arrays: one float32 copy of the net, whose
+    # forward and backward allocate their own arrays, Adam on each of its
+    # arrays, and the trained values cast back into the float64 net at the end
     ref = DecoderModel.build(4, 8, rng=stream_rng(13, 0))
+    net32 = ref.net.astype(np.float32)
     rng = stream_rng(13, 1)
-    state = AdamState(ref.net.params)
+    state = AdamState(net32.params)
     ref_trace = []
     for _ in range(cfg.steps):
         x = rng.uniform(-1.0, 1.0, size=(cfg.batch_size, 8))
@@ -176,12 +178,13 @@ def test_joint_train_matches_fresh_array_loop(denoise):
         z = forward_diffuse(encode(x, enc), level, sched, rng)
         if denoise:
             z = denoise_from_level(z, level, fn, sampler_cfg, rng)
-        net32 = ref.net.astype(np.float32)
         out, cache = net32.forward(z.view(np.float64))
         resid = out - x
         grads = net32.backward(cache, (2.0 / cfg.batch_size) * resid)
-        adam_step(ref.net.params, grads, state, lr=cfg.learning_rate)
+        adam_step(net32.params, grads, state, lr=cfg.learning_rate)
         ref_trace.append((np.mean(np.sum(resid**2, axis=-1)), level))
+    for p, p32 in zip(ref.net.params, net32.params):
+        p[...] = p32
     np.testing.assert_array_equal(trace, np.array(ref_trace))
     for got, want in zip(dec.net.params, ref.net.params):
         assert got.dtype == np.float64

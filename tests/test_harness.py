@@ -541,17 +541,17 @@ def test_cli_training_divergence(tmp_path, capsys, command):
 @pytest.mark.parametrize("steps,rate,code,message", [
     ("5", "3e38", 3, "numerical divergence: non-finite loss at step 1"),
     ("5", "1e38", 3, "numerical divergence: non-finite loss at step 1"),
-    ("1", "1e39", 2, "config error: score model has a finite parameter beyond float32's range"),
+    ("1", "1e39", 3, "numerical divergence: non-finite parameters after training"),
     ("1", "3e38", 3, "numerical divergence: non-finite relative score error inf"),
 ], ids=["beyond-float32", "overflow", "last-step-beyond-float32", "last-step-overflow"])
 def test_cli_train_score_writes_nothing_on_failure(tmp_path, capsys, steps, rate, code,
                                                    message):
-    # training steps compute in float32, so a first Adam step that moves the
-    # parameters by about 3e38 or 1e38 makes the next loss non-finite. When
-    # that step is the last one, training ends with finite float64
-    # parameters, but the float32 score that train-score prints the error of
-    # is out of range (1e39) or overflows (3e38). Either way the command
-    # fails before it writes a file
+    # training keeps its parameters in float32, so a first Adam step that
+    # moves them by about 3e38 or 1e38 makes the next loss non-finite. When
+    # that step is the last one, a rate beyond float32's range (1e39) leaves
+    # non-finite parameters, and a rate of 3e38 leaves finite ones whose
+    # float32 score overflows in the error that train-score prints. Either
+    # way the command fails before it writes a file
     out, trace = tmp_path / "model.npz", tmp_path / "trace.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -232,6 +232,26 @@ def test_adam_step_matches_reference_expression():
             np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_over_one_vector_matches_per_array(dtype):
+    # Adam is elementwise, so one state over the concatenated parameters
+    # moves every value exactly as one state per array does
+    rng = np.random.default_rng(18)
+    params = [p.astype(dtype) for p in Mlp([3, 16, 16, 2], rng=rng).params]
+    flat = np.concatenate([p.ravel() for p in params])
+    flat_state, state = AdamState([flat]), AdamState(params)
+    for t in range(1, 8):
+        grads = [(rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+                 for p in params]
+        lr = 8e-3 * 0.5 * (1.0 + np.cos(np.pi * t / 8))
+        adam_step(params, grads, state, lr=lr)
+        adam_step([flat], [np.concatenate([g.ravel() for g in grads])], flat_state, lr=lr)
+        assert flat.dtype == dtype
+        np.testing.assert_array_equal(flat, np.concatenate([p.ravel() for p in params]))
+        for got, want in zip((flat_state.m[0], flat_state.v[0]), (state.m, state.v)):
+            np.testing.assert_array_equal(got, np.concatenate([a.ravel() for a in want]))
+
+
 def test_adam_zero_grad_is_noop():
     net = Mlp([2, 4, 1], rng=np.random.default_rng(0))
     before = [p.copy() for p in net.params]
@@ -304,6 +324,19 @@ def test_fit_stops_at_non_finite_loss(k):
         np.testing.assert_array_equal(got, want)
 
 
+def test_fit_takes_any_real_learning_rate_as_a_float():
+    # a rate that lr(k) returns as a numpy float64 (as np.cos gives it) would
+    # make float32 Adam compute its step in float64; fit passes float(lr(k)),
+    # so both kinds of rate train the same parameters, bit for bit
+    data = _batches(np.random.default_rng(19), 6)
+    nets = [Mlp([3, 16, 2], rng=np.random.default_rng(20)) for _ in range(2)]
+    rate = 8e-3 / 3
+    fit(nets[0], 6, data.__getitem__, lambda step: np.float64(rate))
+    fit(nets[1], 6, data.__getitem__, lambda step: rate)
+    for got, want in zip(*(net.params for net in nets)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_fit_refuses_non_finite_parameters():
     # finite losses throughout, but a learning rate that overflows the
     # parameters on the last step
@@ -334,7 +367,8 @@ def _abs_gradient_terms(net, x, target):
 
 
 def test_fit_step_gradients_within_float32_rounding(monkeypatch):
-    # fit's step runs forward and backward on a float32 copy of the net. A
+    # fit's step runs forward and backward in float32, with the gradients in
+    # one flat vector that Adam sees whole, split here by parameter. A
     # float32 sum of n terms is off by at most about n * eps times the sum of
     # their magnitudes, and every factor carries the rounding of the layers
     # before it; so each gradient moves from the float64 one of
@@ -355,7 +389,9 @@ def test_fit_step_gradients_within_float32_rounding(monkeypatch):
 
     monkeypatch.setattr(mlp, "adam_step", spy)
     losses = fit(net.astype(np.float64), 1, lambda step: (x, target), lambda step: 1e-3)
-    (got,) = seen
+    (flat,) = seen
+    got = np.split(flat[0], np.cumsum([p.size for p in net.params])[:-1])
+    got = [g.reshape(p.shape) for g, p in zip(got, net.params)]
     eps = float(np.finfo(np.float32).eps)
     scale = eps * (len(x) + sum(net.layer_sizes))
     for g32, g64, terms in zip(got, want, _abs_gradient_terms(net, x, target)):
@@ -369,8 +405,9 @@ def test_fit_step_gradients_within_float32_rounding(monkeypatch):
 
 
 def test_fit_keeps_float64_parameter_arrays(tmp_path):
-    # Adam updates the caller's arrays in place: after fit the net has the
-    # same float64 array objects, trained, and its checkpoint holds them
+    # fit trains float32 parameters and writes them into the caller's arrays:
+    # after fit the net has the same float64 array objects, trained, every
+    # value of them a float32 value, and its checkpoint holds them
     data = _batches(np.random.default_rng(16), 5)
     net = Mlp([3, 8, 8, 2], rng=np.random.default_rng(17))
     arrays = list(net.params)
@@ -378,6 +415,8 @@ def test_fit_keeps_float64_parameter_arrays(tmp_path):
     fit(net, 5, data.__getitem__, lambda step: 1e-2)
     assert all(p is q and p.dtype == np.float64 for p, q in zip(net.params, arrays))
     assert all(not np.array_equal(p, q) for p, q in zip(net.params, before))
+    for p in net.params:
+        np.testing.assert_array_equal(p.astype(np.float32).astype(np.float64), p)
     path = tmp_path / "trained.npz"
     save_checkpoint(str(path), net, "head", "mean")
     with np.load(path) as saved:

@@ -215,27 +215,32 @@ def test_train_deterministic():
 
 
 def _train_score_fresh(scheme, config):
-    """train_score's loop with fresh arrays on every step: a new float32 copy
-    of the net, whose forward and backward allocate their own arrays, and
-    Adam on the float64 parameters."""
+    """train_score's loop with fresh arrays on every step: one float32 copy
+    of the net, whose forward and backward allocate their own arrays, Adam
+    on each of its arrays at a float learning rate, and the trained values
+    cast back into the float64 net at the end."""
     rng = stream_rng(config.seed, 0)
     net = Mlp([3, *config.hidden, 2], rng=rng)
-    state = AdamState(net.params)
+    net32 = net.astype(np.float32)
+    state = AdamState(net32.params)
     trace = []
     for step in range(config.steps):
         z0 = scheme.points[rng.integers(0, scheme.order, size=config.batch_size)]
-        loss, grads = dsm_loss(MlpScoreModel(net=net.astype(np.float32)), z0, config.schedule, rng)
+        loss, grads = dsm_loss(MlpScoreModel(net=net32), z0, config.schedule, rng)
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.steps))
-        adam_step(net.params, grads, state, lr=max(lr, config.learning_rate * 0.01))
+        adam_step(net32.params, grads, state, lr=float(max(lr, config.learning_rate * 0.01)))
         trace.append(loss)
+    for p, p32 in zip(net.params, net32.params):
+        p[...] = p32
     return MlpScoreModel(net=net), np.array(trace)
 
 
 @pytest.mark.parametrize("hidden", [(8,), (128, 128)])
 def test_train_score_matches_fresh_array_loop(hidden):
-    # training computes on one float32 copy of the net, refreshed in place
-    # after each Adam step, through one workspace; neither changes a bit of
-    # the loss trace or of the trained float64 parameters
+    # training computes on one flat float32 parameter vector, with one flat
+    # gradient vector and one Adam state over it, through one workspace; none
+    # of that changes a bit of the loss trace or of the trained float64
+    # parameters against per-array Adam on a float32 copy of the net
     cfg = DsmConfig(schedule=build_schedule(0.01, 10.0, 64), hidden=hidden, steps=20,
                     learning_rate=8e-3, seed=12)
     scheme = build_square_qam(64)
