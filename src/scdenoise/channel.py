@@ -43,15 +43,17 @@ def stream_rng(master_seed: int, *stream: int) -> np.random.Generator:
 
 def complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) samples: unit total variance, 1/2 per real dimension."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    # each part times 1/sqrt(2), written in place: the bits of
+    # one draw of both parts, which takes the stream's values in the order
+    # that drawing all real parts and then all imaginary parts would; each
+    # part times 1/sqrt(2), written in place: the bits of
     # (re + 1j * im) / sqrt(2), whose complex division scales each part by
     # the divisor's reciprocal, without its three complex temporaries
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    parts = rng.standard_normal((2, *shape))
     scale = 1.0 / np.sqrt(2.0)
-    out = np.empty(np.shape(re), dtype=np.complex128)
-    np.multiply(re, scale, out=out.real)
-    np.multiply(im, scale, out=out.imag)
+    out = np.empty(shape, dtype=np.complex128)
+    np.multiply(parts[0], scale, out=out.real)
+    np.multiply(parts[1], scale, out=out.imag)
     return out
 
 

@@ -59,8 +59,15 @@ def predictor_step(
         raise ValueError("need sigma_next > sigma_cur >= 0")
     z_next = np.asarray(z_next, dtype=np.complex128)
     dvar = sigma_next**2 - sigma_cur**2
-    drift = (dvar / 2.0) * score_fn(z_next, sigma_next)
-    return z_next + drift + np.sqrt(dvar) * complex_noise(rng, z_next.shape)
+    # (z_next + drift) + sqrt(dvar) * noise in that order, each sum formed
+    # in place in the fresh drift array (a sum's bits do not depend on the
+    # order of its two terms) and the noise scaled in place
+    z = (dvar / 2.0) * score_fn(z_next, sigma_next)
+    z += z_next
+    noise = complex_noise(rng, z_next.shape)
+    noise *= np.sqrt(dvar)
+    z += noise
+    return z
 
 
 def denoise_from_level(

@@ -17,7 +17,10 @@ in float32. `train_score` trains through `mlp.fit`, which keeps the
 parameters in float32 while it trains, Adam updates included, and writes them
 into the float64 network at the end. The sampler interface,
 `model_score_fn`, evaluates D on a float32 copy of the network, so its scores
-match float64 `forward_score` up to float32 rounding.
+match float64 `forward_score` up to float32 rounding. The network's features
+are built feature-major, one contiguous row each for Re z, Im z and log
+sigma, and handed to it as their (n, 3) transpose, so its first layer copies
+them without a strided read.
 """
 
 from __future__ import annotations
@@ -81,12 +84,14 @@ def _features(z: np.ndarray, log_sigma) -> tuple[np.ndarray, np.ndarray]:
     """Network inputs (re, im, log sigma), one row per symbol of the raveled z,
     and z's (re, im) pairs as an (n, 2) float64 view; z is copied only when it
     is not already a contiguous complex128 array. log_sigma is a scalar or has
-    the raveled z's shape."""
+    the raveled z's shape. The inputs are the (n, 3) transpose of a
+    contiguous (3, n) array, the feature-major layout the network's first
+    layer reads."""
     zf = np.ascontiguousarray(z, dtype=np.complex128).reshape(-1).view(np.float64).reshape(-1, 2)
-    feats = np.empty((zf.shape[0], 3))
-    feats[:, :2] = zf
-    feats[:, 2] = log_sigma
-    return feats, zf
+    feats = np.empty((3, zf.shape[0]))
+    feats[:2] = zf.T
+    feats[2] = log_sigma
+    return feats.T, zf
 
 
 def forward_score(model: MlpScoreModel, z: np.ndarray, sigma: float) -> np.ndarray:

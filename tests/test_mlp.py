@@ -5,7 +5,7 @@ import pytest
 
 from scdenoise import mlp
 from scdenoise.errors import DivergenceError
-from scdenoise.mlp import (BLOCK_ACTIVATIONS, AdamState, Mlp, Workspace, adam_step, fit,
+from scdenoise.mlp import (BLOCK_BYTES, AdamState, Mlp, Workspace, adam_step, fit,
                            load_checkpoint, save_checkpoint, squared_error)
 
 
@@ -56,13 +56,15 @@ def test_call_matches_forward_output(sizes):
     np.testing.assert_array_equal(x, x_before)
 
 
-@pytest.mark.parametrize("n", [129, 191, 192, 300, 512, 1025])
+@pytest.mark.parametrize("n", [129, 191, 192, 300, 505, 512, 755, 756, 1025, 1200, 2016, 2521])
 def test_blocked_call_matches_forward_output(n):
-    # a 64-wide net runs inference in blocks of BLOCK_ACTIVATIONS // 64 rows;
-    # neither the block edges nor the merged tail may change a bit
+    # a 64-wide net runs inference in column blocks of BLOCK_BYTES over the
+    # bytes of 65 float64 values, 504 columns; neither the block edges
+    # (505, 755/756, 2016, 2521) nor the merged tail may change a bit, and
+    # the sizes inside one block stay checked too
     rng = np.random.default_rng(5)
     net = Mlp([3, 64, 64, 2], rng=rng)
-    assert BLOCK_ACTIVATIONS // 64 == 128
+    assert BLOCK_BYTES // (8 * 65) == 504
     x = rng.standard_normal((n, 3))
     got = net(x)
     assert got.shape == (n, 2) and got.flags.c_contiguous
@@ -70,29 +72,78 @@ def test_blocked_call_matches_forward_output(n):
 
 
 def _one_block(net, x):
-    """`_layers`' arithmetic on the whole batch at once, in the parameters' dtype."""
-    h = x.astype(net.weights[0].dtype)
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w
-        h += b
-        if l < len(net.weights) - 1:
-            np.tanh(h, out=h)
-    return h
+    """`_layers`' arithmetic on the whole batch at once, in the parameters'
+    dtype: feature-major activations with a row of ones, each layer one
+    product with its (n_in + 1, n_out) matrix."""
+    h = np.ones((x.shape[1] + 1, len(x)), net.layers[0].dtype)
+    h[:-1] = x.T
+    for l, a in enumerate(net.layers):
+        z = a.T @ h
+        if l < len(net.layers) - 1:
+            np.tanh(z, out=z)
+            z = np.vstack([z, np.ones((1, len(x)), z.dtype)])
+        h = z
+    return h.T
 
 
-@pytest.mark.parametrize("n", [129, 191, 192, 300, 512, 1025])
+@pytest.mark.parametrize("n", [129, 191, 192, 300, 512, 1009, 1025, 1511, 1512, 2400, 4032, 8065])
 def test_float32_blocked_call_matches_one_block(n):
     # float32 parameters run inference in float32, in blocks of the same
-    # 64 KiB (twice the rows of a float64 block), and return float64; the
-    # block edges may not change a bit
+    # bytes (1008 columns, twice those of a float64 block), and return
+    # float64; the block edges (1009, 1511/1512, 4032, 8065) may not change
+    # a bit
     rng = np.random.default_rng(5)
     net = Mlp([3, 64, 64, 2], rng=rng).astype(np.float32)
+    assert BLOCK_BYTES // (4 * 65) == 1008
     x = rng.standard_normal((n, 3))
     got = net(x)
     assert got.dtype == np.float64 and got.shape == (n, 2) and got.flags.c_contiguous
     want = _one_block(net, x)
     assert want.dtype == np.float32
     np.testing.assert_array_equal(got, want.astype(np.float64))
+
+
+def test_call_reuses_its_arrays_without_carrying_values():
+    # inference writes every block into arrays the net keeps between calls;
+    # calls at other batch sizes in between change no bit of a call
+    rng = np.random.default_rng(8)
+    net = Mlp([3, 64, 64, 2], rng=rng).astype(np.float32)
+    xs = [rng.standard_normal((n, 3)) for n in (512, 7, 2521, 512, 1)]
+    for x in xs + xs[::-1]:
+        np.testing.assert_array_equal(net(x), net.astype(np.float32)(x))
+
+
+def _assert_layer_views(net):
+    """weights[l] and biases[l] are exactly the first rows and the last row
+    of the one (n_in + 1, n_out) matrix layers[l], and params lists them."""
+    sizes = net.layer_sizes
+    assert len(net.layers) == len(net.weights) == len(net.biases) == len(sizes) - 1
+    for l, a in enumerate(net.layers):
+        assert a.shape == (sizes[l] + 1, sizes[l + 1]) and a.flags.c_contiguous
+        assert net.weights[l].__array_interface__ == a[:-1].__array_interface__
+        assert net.biases[l].__array_interface__ == a[-1].__array_interface__
+    assert all(p is q for p, q in zip(net.params, net.weights + net.biases))
+
+
+def test_weights_and_biases_stay_views_of_one_layer_matrix(tmp_path):
+    rng = np.random.default_rng(15)
+    net = Mlp([3, 8, 5, 2], rng=rng)
+    _assert_layer_views(net)
+    _assert_layer_views(Mlp([4, 3]))
+    for dtype in (np.float32, np.float64):
+        _assert_layer_views(net.astype(dtype))
+    path = str(tmp_path / "net.npz")
+    save_checkpoint(path, net, "kind", "test")
+    _assert_layer_views(load_checkpoint(path, "kind", "test"))
+    x, target = rng.standard_normal((16, 3)), rng.standard_normal((16, 2))
+    layers = list(net.layers)
+    fit(net, 3, lambda step: (x, target), lambda step: 1e-2)
+    _assert_layer_views(net)
+    assert all(a is b for a, b in zip(net.layers, layers))
+    # a write through a view reaches the net's arithmetic
+    net.biases[-1][:] = 0.0
+    net.weights[-1][:] = 0.0
+    np.testing.assert_array_equal(net(x), np.zeros((16, 2)))
 
 
 def test_astype_copies_every_parameter():
@@ -368,8 +419,10 @@ def _abs_gradient_terms(net, x, target):
 
 def test_fit_step_gradients_within_float32_rounding(monkeypatch):
     # fit's step runs forward and backward in float32, with the gradients in
-    # one flat vector that Adam sees whole, split here by parameter. A
-    # float32 sum of n terms is off by at most about n * eps times the sum of
+    # one flat vector that Adam sees whole, split here by layer matrix and
+    # each matrix into its weights and its bias row. A float32 sum of n
+    # terms (the bias row's n - 1 of them times the input's row of ones) is
+    # off by at most about n * eps times the sum of
     # their magnitudes, and every factor carries the rounding of the layers
     # before it; so each gradient moves from the float64 one of
     # squared_error by at most eps * (rows + sum of widths) * sum |a| |delta|.
@@ -390,8 +443,9 @@ def test_fit_step_gradients_within_float32_rounding(monkeypatch):
     monkeypatch.setattr(mlp, "adam_step", spy)
     losses = fit(net.astype(np.float64), 1, lambda step: (x, target), lambda step: 1e-3)
     (flat,) = seen
-    got = np.split(flat[0], np.cumsum([p.size for p in net.params])[:-1])
-    got = [g.reshape(p.shape) for g, p in zip(got, net.params)]
+    layers = np.split(flat[0], np.cumsum([a.size for a in net.layers])[:-1])
+    layers = [g.reshape(a.shape) for g, a in zip(layers, net.layers)]
+    got = [g[:-1] for g in layers] + [g[-1] for g in layers]
     eps = float(np.finfo(np.float32).eps)
     scale = eps * (len(x) + sum(net.layer_sizes))
     for g32, g64, terms in zip(got, want, _abs_gradient_terms(net, x, target)):
