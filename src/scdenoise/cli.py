@@ -61,9 +61,9 @@ def cmd_schedule(args) -> int:
 
 def cmd_train_score(args) -> int:
     config = _experiment_config(args)
-    settings = _given(args, TRAIN_FLAGS)
-    if args.hidden is not None:
-        settings["hidden"] = tuple(int(h) for h in args.hidden.split(","))
+    settings = _given(args, (*TRAIN_FLAGS, "hidden"))
+    if "hidden" in settings:
+        settings["hidden"] = sweep_mod._coerce("hidden", settings["hidden"], tuple[int, ...])
     dsm = score_model.DsmConfig(schedule=config.schedule(), seed=config.master_seed, **settings)
     model, trace = score_model.train_score(config.scheme(), dsm)
     # the score error builds the float32 adapter; either refuses a model

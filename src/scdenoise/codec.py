@@ -80,6 +80,11 @@ class DecoderModel:
 
     net: Mlp
 
+    def __post_init__(self):
+        if self.net.layer_sizes[0] % 2:
+            raise ValueError(f"decoder input width {self.net.layer_sizes[0]} is odd; "
+                             "it must be two real values per symbol")
+
     @property
     def n_symbols(self) -> int:
         return self.net.layer_sizes[0] // 2

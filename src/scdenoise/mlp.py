@@ -1,33 +1,33 @@
 """Minimal fully-connected network with hand-written reverse-mode gradients and Adam.
 
-Kept deliberately small: tanh hidden layers, linear output. Layer l is one
-(n_in + 1, n_out) matrix, `Mlp.layers[l]`: its weights, with its bias as the
-last row, so `Mlp.weights[l]` and `Mlp.biases[l]` are views of it. Inside
-`forward`, `backward` and inference the activations are feature-major,
-(features + 1, rows) arrays whose last row is ones, so each layer is one
-matrix product (its bias times that row of ones) and a tanh in place on the
-product's contiguous rows, and backward gets each layer's weight and bias
-gradient from one product more. `forward` and `backward` still take and
-return (rows, features) arrays; only they transpose. Parameters and
-checkpoints are float64. `forward`, `backward` and inference
-(`Mlp.__call__`) compute in the dtype of the parameters, so a float32 copy
-of a net (`Mlp.astype`) runs in float32; inference still returns float64.
+Kept deliberately small: tanh hidden layers, linear output. A net's
+parameters are one contiguous 1-D vector, `Mlp.theta`, in their dtype.
+Layer l is `Mlp.layers[l]`, the (n_in + 1, n_out) view of theta that holds
+the layer's weights with its bias as the last row; the layers lie in theta
+in layer order. Inside `forward`, `backward` and inference the activations
+are feature-major, (features + 1, rows) arrays whose last row is ones, so
+each layer is one matrix product (its bias times that row of ones) and a
+tanh in place on the product's contiguous rows, and backward gets each
+layer's gradient from one product more, into the view of one gradient
+vector laid out like theta. `forward` and `backward` still take and return
+(rows, features) arrays; only they transpose. Parameters and checkpoints
+are float64. `forward`, `backward` and inference (`Mlp.__call__`) compute
+in theta's dtype, so a float32 copy of a net (`Mlp.astype`) runs in
+float32; inference still returns float64.
 The score network and the semantic decoder both build on it. They share its
 checkpoint format (a version tag, the layer sizes, the arrays `w{i}`/`b{i}`
 and one kind marker, a key and its string value, which `load_checkpoint`
 checks) and its one training loop, `fit`: Adam on the mean squared error, at
 beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, with only the learning rate set.
-`fit` trains in float32: the layer matrices of its float32 net are views of
-one flat parameter vector, in layer order, `backward` writes the gradients
-into views of one flat gradient vector laid out the same way, and one Adam
-pass updates the whole vector in place. The net's own float64 arrays
-receive the trained values when `fit` returns or raises. `fit` owns the
-vectors, one `Workspace`, which every step's `forward` and `backward` reuse,
-and one `AdamState`, so a steady-state step allocates no whole-batch array;
-a call given no workspace allocates fresh arrays. Inference keeps its
-activations in a workspace of the net's own, so repeated calls at one batch
-size allocate only their result; a net is therefore not for inference from
-two threads at once.
+`fit` trains a float32 copy of the net: one Adam pass per step updates its
+theta in place with the gradient vector, and the net's own theta receives
+the trained values when `fit` returns or raises. `fit` owns one
+`Workspace`, which every step's `forward` and `backward` reuse, and one
+`AdamState`, so a steady-state step allocates no whole-batch array; a call
+given no workspace allocates fresh arrays. Inference keeps its activations
+in a workspace of the net's own, so repeated calls at one batch size
+allocate only their result; a net is therefore not for inference from two
+threads at once.
 `check_training` is the one check of a trainer's steps, batch size and rate.
 """
 
@@ -60,7 +60,7 @@ class Workspace:
     `Mlp.forward` stores the feature-major layer inputs and outputs in
     `acts` (acts[0] is the input, acts[l + 1] layer l's output; every one
     but the net's output has a last row of ones) and `Mlp.backward` adds the
-    tanh derivatives, the deltas and the layer gradients. A call reuses an
+    tanh derivatives, the deltas and the gradient vector. A call reuses an
     array only when it has the shape the call needs (same net, same batch
     size, same dtype) and otherwise puts a new one in its place. Every net
     also keeps one for its inference blocks.
@@ -78,30 +78,11 @@ class Workspace:
             a = self._arrays[key] = np.empty(shape, dtype)
         return a
 
-    def flat(self, key, shapes, dtype) -> np.ndarray:
-        """A new flat array whose views, shaped `shapes` in turn, become the
-        arrays kept under (key, 0), (key, 1), ...; a call that asks for one
-        of them at its shape and dtype writes into the flat array."""
-        flat = np.empty(sum(int(np.prod(s)) for s in shapes), dtype)
-        for i, view in enumerate(_views(flat, shapes)):
-            self._arrays[(key, i)] = view
-        return flat
-
-
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of the 1-D array `flat`, shaped `shapes` in turn."""
-    views, start = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        views.append(flat[start:start + size].reshape(shape))
-        start += size
-    return views
-
 
 class Mlp:
-    """Tanh MLP. Layer l is the matrix self.layers[l]; self.weights[l] and
-    self.biases[l] are views of its first rows and its last row, and
-    self.params lists all of those views."""
+    """Tanh MLP. Its parameters are the 1-D vector self.theta, and layer l
+    is self.layers[l], the (n_in + 1, n_out) view of theta that holds its
+    weights over its bias row."""
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         if len(layer_sizes) < 2:
@@ -109,37 +90,40 @@ class Mlp:
         self.layer_sizes = [int(s) for s in layer_sizes]
         if min(self.layer_sizes) < 1:
             raise ValueError(f"layer widths must each be at least 1, got {self.layer_sizes}")
-        layers = []
-        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            a = np.zeros((n_in + 1, n_out))
-            if rng is not None:
-                a[:-1] = rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)
-            layers.append(a)
-        self.layers = layers
+        # each layer's slice of theta and its matrix shape, computed once
+        # here: `_split` uses them on every backward
+        self._layout, start = [], 0
+        for n_in, n_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            size = (n_in + 1) * n_out
+            self._layout.append((slice(start, start + size), (n_in + 1, n_out)))
+            start += size
+        self._bind(np.zeros(start))
+        if rng is not None:
+            for a, n_in in zip(self.layers, self.layer_sizes):
+                a[:-1] = rng.standard_normal((n_in, a.shape[1])) / np.sqrt(n_in)
 
-    @property
-    def layers(self) -> list[np.ndarray]:
-        return self._matrices
-
-    @layers.setter
-    def layers(self, layers) -> None:
-        """Take `layers` as the net's matrices, with fresh weight and bias views."""
-        self._matrices = list(layers)
-        self.weights = [a[:-1] for a in self._matrices]
-        self.biases = [a[-1] for a in self._matrices]
+    def _bind(self, theta: np.ndarray) -> None:
+        """Make the 1-D `theta` the net's parameters and `layers` its views."""
+        self.theta = theta
+        self.layers = self._split(theta)
         self._scratch = Workspace()
+
+    def _split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """The layer matrices of a 1-D vector laid out like theta, as views."""
+        return [vector[s].reshape(shape) for s, shape in self._layout]
 
     @property
     def params(self) -> list[np.ndarray]:
-        return self.weights + self.biases
+        # kept only because the benchmark workloads digest it
+        return [self.theta]
 
     def astype(self, dtype) -> Mlp:
-        """A copy of the net with every parameter cast to `dtype`.
+        """A copy of the net with theta cast to `dtype`.
 
         A float64 value beyond the range of `dtype` becomes inf in the copy.
         """
         copy = Mlp(self.layer_sizes)
-        copy.layers = [a.astype(dtype) for a in self.layers]
+        copy._bind(self.theta.astype(dtype))
         return copy
 
     def _shapes(self, x: np.ndarray, rows: int) -> list[tuple[int, int]]:
@@ -179,7 +163,7 @@ class Mlp:
         """
         x = np.atleast_2d(x)
         cache = Workspace() if cache is None else cache
-        dtype = self.layers[0].dtype
+        dtype = self.theta.dtype
         cache.acts = [cache.array(("act", l), shape, dtype)
                       for l, shape in enumerate(self._shapes(x, len(x)))]
         return self._layers(x, cache.acts).T, cache
@@ -203,7 +187,7 @@ class Mlp:
         up to a few thousand rows.
         """
         x = np.atleast_2d(x)
-        rows, dtype = len(x), self.layers[0].dtype
+        rows, dtype = len(x), self.theta.dtype
         cols = max(BLOCK_BYTES // (dtype.itemsize * (max(self.layer_sizes) + 1)), 1)
         blocks = max(round(rows / cols), 1)
         out = np.empty((rows, self.layer_sizes[-1]))
@@ -215,23 +199,24 @@ class Mlp:
             out[a:b].T[...] = self._layers(x[a:b], acts)
         return out
 
-    def backward(self, cache: Workspace, grad_out: np.ndarray):
+    def backward(self, cache: Workspace, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate d(loss)/d(output) through the forward pass in `cache`.
 
-        Returns the parameter gradients, ordered like self.params and in
-        their dtype, to which grad_out is cast; the gradient with respect to
-        the input is not computed. Layer l's weight and bias gradients are
-        views of one (n_in + 1, n_out) array, one matrix product of the
-        feature-major layer input (whose row of ones gives the bias
-        gradient) with the delta. These arrays, the deltas and the tanh
-        derivatives are arrays of `cache`, so the next backward through the
-        same workspace overwrites the gradients returned here. grad_out is
-        read, never written.
+        Returns the gradient with respect to theta: one vector laid out like
+        theta and in its dtype, to which grad_out is cast; the gradient with
+        respect to the input is not computed. Layer l's gradient is one
+        matrix product of the feature-major layer input (whose row of ones
+        gives the bias gradient) with the delta, written into the layer's
+        view of the vector. The vector, the deltas and the tanh derivatives
+        are arrays of `cache`, so the next backward through the same
+        workspace overwrites the gradient returned here. grad_out is read,
+        never written.
         """
         acts = cache.acts
         n_layers = len(self.layers)
-        dtype = self.layers[0].dtype
-        grads = [cache.array(("grad", l), a.shape, dtype) for l, a in enumerate(self.layers)]
+        dtype = self.theta.dtype
+        grad = cache.array("grad", self.theta.shape, dtype)
+        grads = self._split(grad)
         delta = np.atleast_2d(np.asarray(grad_out, dtype=dtype)).T
         for l in range(n_layers - 1, -1, -1):
             if l < n_layers - 1:
@@ -244,55 +229,51 @@ class Mlp:
                 delta *= deriv
             np.matmul(acts[l], delta.T, out=grads[l])
             if l > 0:
-                w = self.weights[l]
+                w = self.layers[l][:-1]
                 out = cache.array(("delta", l), (w.shape[0], delta.shape[1]), dtype)
                 delta = np.matmul(w, delta, out=out)
-        return [g[:-1] for g in grads] + [g[-1] for g in grads]
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.layers)
+        return grad
 
 
 class AdamState:
-    """Adam's first/second moment accumulators for `params`, zero at step 0,
-    and two scratch arrays per parameter that every `adam_step` overwrites."""
+    """Adam's first/second moment accumulators for one parameter array, zero
+    at step 0, and two scratch arrays that every `adam_step` overwrites."""
 
-    def __init__(self, params):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    def __init__(self, theta: np.ndarray):
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        self.scratch = (np.empty_like(theta), np.empty_like(theta))
         self.t = 0
 
 
-def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One standard Adam update with bias correction; mutates params and state.
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One standard Adam update with bias correction; mutates theta and state.
 
-    Each parameter p moves by (lr * mhat) / (sqrt(vhat) + eps), computed in
-    the state's scratch arrays in that order of operations.
+    theta moves by (lr * mhat) / (sqrt(vhat) + eps), computed in the state's
+    scratch arrays in that order of operations.
     """
-    if len(params) != len(grads):
-        raise ValueError("parameter/gradient count mismatch")
+    if theta.shape != np.shape(grad):
+        raise ValueError("parameter/gradient shape mismatch")
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.t += 1
-    for p, g, m, v, (s, r) in zip(params, grads, state.m, state.v, state.scratch):
-        if p.shape != np.shape(g):
-            raise ValueError("parameter/gradient shape mismatch")
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=s)
-        v *= b2
-        v += np.multiply(1.0 - b2, np.square(g, out=s), out=s)
-        mhat = np.divide(m, 1.0 - b1**state.t, out=s)
-        mhat *= lr
-        vhat = np.sqrt(np.divide(v, 1.0 - b2**state.t, out=r), out=r)
-        vhat += eps
-        mhat /= vhat
-        p -= mhat
+    m, v, (s, r) = state.m, state.v, state.scratch
+    m *= b1
+    m += np.multiply(1.0 - b1, grad, out=s)
+    v *= b2
+    v += np.multiply(1.0 - b2, np.square(grad, out=s), out=s)
+    mhat = np.divide(m, 1.0 - b1**state.t, out=s)
+    mhat *= lr
+    vhat = np.sqrt(np.divide(v, 1.0 - b2**state.t, out=r), out=r)
+    vhat += eps
+    mhat /= vhat
+    theta -= mhat
 
 
 def squared_error(net: Mlp, x: np.ndarray, target: np.ndarray,
                   cache: Workspace | None = None):
-    """The mean over rows of |net(x) - target|^2 and its gradients, ordered
-    like net.params. With `cache` the gradients are its arrays (see `forward`).
+    """The mean over rows of |net(x) - target|^2 and its gradient with
+    respect to net.theta, the vector of `backward`, which with `cache` is
+    that workspace's array.
     The net's output is in its parameters' dtype, and the residual and the
     loss are in the wider of that and target's dtype; the gradient of the
     loss with respect to the output, (2/n) * residual, is computed in the
@@ -309,38 +290,30 @@ def fit(net: Mlp, steps: int, batch, lr) -> np.ndarray:
     """Minimize `squared_error` by Adam; returns the loss of every step.
 
     Step k trains on (x, target) = batch(k) at learning rate float(lr(k)).
-    Training runs on a float32 net whose layer matrices are views of one
-    flat float32 vector, in layer order, cast from net.layers; the loss is
-    float64, against the float64 target. `backward` writes the gradients
-    into views of one flat float32 vector laid out the same way, and
-    `adam_step` updates the parameter vector in place with it, so every
-    step's arithmetic and every update is float32. When fit returns or
-    raises, net.layers receive the trained float32 values in place, so net
-    keeps its float64 arrays. A non-finite loss raises DivergenceError
-    before its Adam step, leaving the parameters of the steps before it, and
-    so do non-finite parameters after the last step. Overflow and invalid
-    values in the steps raise no numpy warning: DivergenceError is the one
-    report of them.
+    Training runs on a float32 copy of the net; the loss is float64, against
+    the float64 target. Each step's gradient vector updates the copy's
+    theta in place by one `adam_step`, so every step's arithmetic and every
+    update is float32. When fit returns or raises, net.theta receives the
+    trained float32 values in place, so net keeps its float64 vector. A
+    non-finite loss raises DivergenceError before its Adam step, leaving the
+    parameters of the steps before it, and so do non-finite parameters after
+    the last step. Overflow and invalid values in the steps raise no numpy
+    warning: DivergenceError is the one report of them.
     """
-    shapes = [a.shape for a in net.layers]
     cache = Workspace()
-    grad = cache.flat("grad", shapes, np.float32)
-    net32 = Mlp(net.layer_sizes)
     losses = np.empty(steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = np.concatenate([a.ravel() for a in net.layers], dtype=np.float32)
-        net32.layers = _views(theta, shapes)
-        state = AdamState([theta])
+        net32 = net.astype(np.float32)
+        state = AdamState(net32.theta)
         try:
             for k in range(steps):
-                losses[k], _ = squared_error(net32, *batch(k), cache)
+                losses[k], grad = squared_error(net32, *batch(k), cache)
                 if not np.isfinite(losses[k]):
                     raise DivergenceError(f"non-finite loss at step {k}")
-                adam_step([theta], [grad], state, float(lr(k)))
+                adam_step(net32.theta, grad, state, float(lr(k)))
         finally:
-            for a, view in zip(net.layers, net32.layers):
-                np.copyto(a, view)
-    if not net.all_finite():
+            np.copyto(net.theta, net32.theta)
+    if not np.isfinite(net.theta).all():
         raise DivergenceError("non-finite parameters after training")
     return losses
 
@@ -356,8 +329,8 @@ def check_training(steps: int, batch_size: int, learning_rate: float) -> None:
 
 def save_checkpoint(path: str, net: Mlp, key: str, kind: str) -> None:
     """Write `net` and its kind marker key=kind (e.g. head="mean") to an .npz file."""
-    arrays = {f"w{i}": w for i, w in enumerate(net.weights)}
-    arrays.update({f"b{i}": b for i, b in enumerate(net.biases)})
+    arrays = {f"w{i}": a[:-1] for i, a in enumerate(net.layers)}
+    arrays.update({f"b{i}": a[-1] for i, a in enumerate(net.layers)})
     np.savez(path, version=CHECKPOINT_VERSION, **{key: kind},
              layer_sizes=np.array(net.layer_sizes), **arrays)
 

@@ -12,10 +12,11 @@ Training regresses D onto z0. That is denoising score matching: with weight
 sigma^4/4, the penalty on s against the conditional score
 -2 (z_i - z0) / sigma^2 equals |D - z0|^2 exactly (Vincent, 2011).
 
-Parameters and checkpoints are float64, and training and the sampler compute
-in float32. `train_score` trains through `mlp.fit`, which keeps the
-parameters in float32 while it trains, Adam updates included, and writes them
-into the float64 network at the end. The sampler interface,
+The network's parameters are one float64 vector, `Mlp.theta`, whose views
+`Mlp.layers` are its layer matrices, and checkpoints are float64; training
+and the sampler compute in float32. `train_score` trains through `mlp.fit`,
+which trains a float32 copy of theta, Adam updates included, and writes it
+into the network's theta at the end. The sampler interface,
 `model_score_fn`, evaluates D on a float32 copy of the network, so its scores
 match float64 `forward_score` up to float32 rounding. The network's features
 are built feature-major, one contiguous row each for Re z, Im z and log
@@ -121,7 +122,7 @@ def model_score_fn(model: MlpScoreModel):
     """
     with np.errstate(over="ignore"):
         net32 = model.net.astype(np.float32)
-    if any(np.any(np.isinf(q) & np.isfinite(p)) for p, q in zip(model.net.params, net32.params)):
+    if np.any(np.isinf(net32.theta) & np.isfinite(model.net.theta)):
         raise ValueError("score model has a finite parameter beyond float32's range "
                          f"(magnitude above {np.finfo(np.float32).max:.4g})")
     snapshot = MlpScoreModel(net=net32)

@@ -142,22 +142,19 @@ def test_criterion_3_dsm_training(qam64, schedule):
     net = Mlp([3, 10, 2], rng=rng0)
     model = MlpScoreModel(net=net)
     z0 = qam64.points[rng0.integers(0, 64, size=16)]
-    _, grads = dsm_loss(model, z0, schedule, stream_rng(77, 0))
+    _, grad = dsm_loss(model, z0, schedule, stream_rng(77, 0))
     h = 1e-6
-    for p, g in zip(net.params, grads):
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
-            orig = p[ix]
-            p[ix] = orig + h
-            hi = dsm_loss(model, z0, schedule, stream_rng(77, 0))[0]
-            p[ix] = orig - h
-            lo = dsm_loss(model, z0, schedule, stream_rng(77, 0))[0]
-            p[ix] = orig
-            num = (hi - lo) / (2 * h)
-            denom = max(abs(num), abs(float(g[ix])), 1e-8)
-            worst_grad = max(worst_grad, abs(float(g[ix]) - num) / denom)
-            it.iternext()
+    theta = net.theta
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        hi = dsm_loss(model, z0, schedule, stream_rng(77, 0))[0]
+        theta[i] = orig - h
+        lo = dsm_loss(model, z0, schedule, stream_rng(77, 0))[0]
+        theta[i] = orig
+        num = (hi - lo) / (2 * h)
+        denom = max(abs(num), abs(float(grad[i])), 1e-8)
+        worst_grad = max(worst_grad, abs(float(grad[i]) - num) / denom)
 
     bpsk_cfg = DsmConfig(schedule=schedule, hidden=(64, 64), steps=20_000,
                          learning_rate=5e-3, seed=0)

@@ -122,7 +122,7 @@ def test_decoder_zero_weights_and_determinism():
 
 def test_decoder_output_clamped():
     dec = DecoderModel.build(2, 4, hidden=(8,), rng=stream_rng(1, 0))
-    dec.net.biases[-1][:] = 50.0  # force saturation
+    dec.net.layers[-1][-1] = 50.0  # force saturation
     out = decode(np.array([1 + 1j, -1 - 1j]), dec)
     assert np.all(out <= 1.0) and np.all(out >= -1.0)
 
@@ -145,8 +145,7 @@ def test_joint_train_decreases_loss_and_is_deterministic():
 
     dec1, trace1 = run()
     dec2, trace2 = run()
-    for a, b in zip(dec1.net.params, dec2.net.params):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(dec1.net.theta, dec2.net.theta)
     np.testing.assert_array_equal(trace1, trace2)
     assert np.mean(trace1[-50:, 0]) < np.mean(trace1[:50, 0])
     # noise levels drawn over the whole schedule
@@ -155,9 +154,9 @@ def test_joint_train_decreases_loss_and_is_deterministic():
 
 @pytest.mark.parametrize("denoise", [False, True])
 def test_joint_train_matches_fresh_array_loop(denoise):
-    # training on one flat float32 parameter vector through one workspace
-    # changes no bit of the trace or of the trained float64 decoder, with and
-    # without the sampler in the loop
+    # one Adam pass per step over the float32 copy's theta, through one
+    # workspace, changes no bit of the trace or of the trained float64
+    # decoder, with and without the sampler in the loop
     scheme, sched, enc = small_setup(64)
     sampler_cfg = SamplerConfig(schedule=sched)
     cfg = JointTrainConfig(steps=20, batch_size=64, learning_rate=2e-3)
@@ -165,12 +164,14 @@ def test_joint_train_matches_fresh_array_loop(denoise):
     dec, trace = joint_train(enc, DecoderModel.build(4, 8, rng=stream_rng(13, 0)), fn,
                              sampler_cfg, sched, cfg, stream_rng(13, 1))
     # the same loop with fresh arrays: one float32 copy of the net, whose
-    # forward and backward allocate their own arrays, Adam on each of its
-    # arrays, and the trained values cast back into the float64 net at the end
+    # forward and backward allocate their own arrays, Adam with one state per
+    # layer matrix, and the trained values cast back into the float64 net at
+    # the end
     ref = DecoderModel.build(4, 8, rng=stream_rng(13, 0))
     net32 = ref.net.astype(np.float32)
     rng = stream_rng(13, 1)
-    state = AdamState(net32.params)
+    states = [AdamState(a) for a in net32.layers]
+    ends = np.cumsum([a.size for a in net32.layers])[:-1]
     ref_trace = []
     for _ in range(cfg.steps):
         x = rng.uniform(-1.0, 1.0, size=(cfg.batch_size, 8))
@@ -180,15 +181,15 @@ def test_joint_train_matches_fresh_array_loop(denoise):
             z = denoise_from_level(z, level, fn, sampler_cfg, rng)
         out, cache = net32.forward(z.view(np.float64))
         resid = out - x
-        grads = net32.backward(cache, (2.0 / cfg.batch_size) * resid)
-        adam_step(net32.params, grads, state, lr=cfg.learning_rate)
+        grad = net32.backward(cache, (2.0 / cfg.batch_size) * resid)
+        for a, g, state in zip(net32.layers, np.split(grad, ends), states):
+            adam_step(a, g.reshape(a.shape), state, lr=cfg.learning_rate)
         ref_trace.append((np.mean(np.sum(resid**2, axis=-1)), level))
-    for p, p32 in zip(ref.net.params, net32.params):
-        p[...] = p32
+    for a, a32 in zip(ref.net.layers, net32.layers):
+        a[...] = a32
     np.testing.assert_array_equal(trace, np.array(ref_trace))
-    for got, want in zip(dec.net.params, ref.net.params):
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, want)
+    assert dec.net.theta.dtype == np.float64
+    np.testing.assert_array_equal(dec.net.theta, ref.net.theta)
 
 
 def test_joint_train_shape_mismatch():
@@ -213,8 +214,8 @@ def test_decoder_checkpoint_roundtrip(tmp_path):
         version=1,
         kind="decoder",
         layer_sizes=np.array(dec.net.layer_sizes),
-        **{f"w{i}": w for i, w in enumerate(dec.net.weights)},
-        **{f"b{i}": b for i, b in enumerate(dec.net.biases)},
+        **{f"w{i}": a[:-1] for i, a in enumerate(dec.net.layers)},
+        **{f"b{i}": a[-1] for i, a in enumerate(dec.net.layers)},
     )
     np.testing.assert_array_equal(decode(z, load_decoder(str(legacy))), decode(z, dec))
     # a score-model checkpoint is not a decoder
@@ -222,6 +223,14 @@ def test_decoder_checkpoint_roundtrip(tmp_path):
     save_model(str(score_path), MlpScoreModel(net=Mlp([3, 4, 2])))
     with pytest.raises(ValueError):
         load_decoder(str(score_path))
+    # a decoder whose input width is odd has no whole number of symbols:
+    # refused on loading, not by a product inside decode or joint_train
+    odd = tmp_path / "odd.npz"
+    net = Mlp([5, 4], rng=stream_rng(3, 1))
+    np.savez(odd, version=1, kind="decoder", layer_sizes=np.array([5, 4]),
+             w0=net.layers[0][:-1], b0=net.layers[0][-1])
+    with pytest.raises(ValueError, match="input width 5"):
+        load_decoder(str(odd))
 
 
 @pytest.mark.parametrize("order,dim", [(4, 4), (16, 8), (64, 6)])

@@ -300,11 +300,26 @@ def test_cli_train_score_matches_library(tmp_path):
     config = ExperimentConfig(order=4)
     model, trace = train_score(config.scheme(), DsmConfig(schedule=config.schedule(),
                                                           hidden=(8,), steps=30, seed=3))
-    for got, want in zip(load_model(str(ckpt)).net.params, model.net.params):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(load_model(str(ckpt)).net.theta, model.net.theta)
     ref_path = tmp_path / "ref.csv"
     write_csv(str(ref_path), "step,loss", enumerate(trace))
     assert trace_path.read_bytes() == ref_path.read_bytes()
+
+
+def test_cli_hidden_widths_parse_as_a_config_list(tmp_path, capsys):
+    # --hidden is parsed as ExperimentConfig's tuple fields are: a trailing
+    # comma is dropped, an empty value keeps DsmConfig's default, and a bad
+    # width is refused by the flag's name
+    ckpt = tmp_path / "score.npz"
+    for hidden, sizes in (("8,", [3, 8, 2]), ("", [3, 64, 64, 2])):
+        assert main(["train-score", "--order", "4", "--steps", "1", "--hidden", hidden,
+                     "--out", str(ckpt)]) == 0
+        assert load_model(str(ckpt)).net.layer_sizes == sizes
+    capsys.readouterr()
+    assert main(["train-score", "--order", "4", "--steps", "1", "--hidden", "x",
+                 "--out", str(tmp_path / "bad.npz")]) == 2
+    assert "bad value for 'hidden'" in capsys.readouterr().err
+    assert not (tmp_path / "bad.npz").exists()
 
 
 def test_cli_raw_baseline_matches_library(tmp_path):
@@ -320,8 +335,7 @@ def test_cli_raw_baseline_matches_library(tmp_path):
                              DecoderModel.build(2, 4, rng=rng), None,
                              config.sampler_config(), config.schedule(),
                              JointTrainConfig(steps=20, batch_size=8), rng)
-    for got, want in zip(load_decoder(str(dec_path)).net.params, dec.net.params):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(load_decoder(str(dec_path)).net.theta, dec.net.theta)
     ref_path = tmp_path / "ref.csv"
     write_csv(str(ref_path), "step,loss,snr_step", ((i, *row) for i, row in enumerate(trace)))
     assert trace_path.read_bytes() == ref_path.read_bytes()
@@ -371,7 +385,7 @@ def test_cli_config_file_checkpoint(tmp_path, capsys):
     assert outputs["oracle"] == (2, "", [])
     # a diverged checkpoint named in the config file exits 3, as the flag does
     net = Mlp([3, 8, 2])
-    net.biases[-1][:] = np.nan
+    net.layers[-1][-1] = np.nan
     nan_ckpt = tmp_path / "nan.npz"
     save_model(str(nan_ckpt), MlpScoreModel(net=net))
     nan_cfg = write_cfg(tmp_path, f"checkpoint={nan_ckpt}\n")
@@ -411,11 +425,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # a noise-head checkpoint, and one whose b1 does not match its layer sizes
     net = Mlp([3, 8, 2])
     arrays = dict(version=1, layer_sizes=np.array([3, 8, 2]),
-                  w0=net.weights[0], w1=net.weights[1], b0=net.biases[0])
-    np.savez(tmp_path / "noise.npz", head="noise", b1=net.biases[1], **arrays)
+                  w0=net.layers[0][:-1], w1=net.layers[1][:-1], b0=net.layers[0][-1])
+    np.savez(tmp_path / "noise.npz", head="noise", b1=net.layers[1][-1], **arrays)
     np.savez(tmp_path / "bad_shape.npz", head="mean", b1=np.zeros(1), **arrays)
     # a 0-d layer_sizes, and a file that starts like a zip archive but is none
-    np.savez(tmp_path / "sizes_0d.npz", head="mean", b1=net.biases[1],
+    np.savez(tmp_path / "sizes_0d.npz", head="mean", b1=net.layers[1][-1],
              **{**arrays, "layer_sizes": np.array(3)})
     (tmp_path / "not_zip.npz").write_bytes(b"PK\x03\x04 not a zip archive")
     for name in ("noise.npz", "bad_shape.npz", "sizes_0d.npz", "not_zip.npz"):
@@ -481,7 +495,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # a score model whose output is NaN: the sampler's output never reaches
     # the CSV, and eval prints no score error
     net = Mlp([3, 8, 2])
-    net.biases[-1][:] = np.nan
+    net.layers[-1][-1] = np.nan
     nan_ckpt = tmp_path / "nan.npz"
     save_model(str(nan_ckpt), MlpScoreModel(net=net))
     capsys.readouterr()
@@ -501,7 +515,7 @@ def test_cli_refuses_checkpoint_beyond_float32(tmp_path, capsys):
     # that float32 cannot hold is a config error (exit 2, one stderr line, no
     # numpy warning, no CSV), not an inf that the sampler runs on
     net = Mlp([3, 8, 2], rng=stream_rng(2, 0))
-    net.weights[1][0, 0] = 1e39
+    net.layers[1][0, 0] = 1e39
     ckpt = tmp_path / "huge.npz"
     save_model(str(ckpt), MlpScoreModel(net=net))
     out = tmp_path / "huge.csv"
@@ -569,9 +583,9 @@ def test_cli_float32_overflow_raises_no_warning(tmp_path, capsys):
     # sums eight of them at weight 2e38. eval and a learned sweep exit 3 with
     # their one line, no numpy warning and no CSV
     net = Mlp([3, 8, 2])
-    net.biases[0][:] = 1.0
-    net.weights[1][:] = 2e38
-    assert max(np.abs(p).max() for p in net.params) < np.finfo(np.float32).max
+    net.layers[0][-1] = 1.0
+    net.layers[1][:-1] = 2e38
+    assert np.abs(net.theta).max() < np.finfo(np.float32).max
     assert np.all(np.isfinite(net(np.zeros((1, 3)))))  # finite in float64
     ckpt, out = tmp_path / "overflow.npz", tmp_path / "overflow.csv"
     save_model(str(ckpt), MlpScoreModel(net=net))

@@ -9,23 +9,23 @@ from scdenoise.mlp import (BLOCK_BYTES, AdamState, Mlp, Workspace, adam_step, fi
                            load_checkpoint, save_checkpoint, squared_error)
 
 
-def numerical_grad(f, params, h=1e-6):
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
-            orig = p[ix]
-            p[ix] = orig + h
-            hi = f()
-            p[ix] = orig - h
-            lo = f()
-            p[ix] = orig
-            g[ix] = (hi - lo) / (2 * h)
-            it.iternext()
-        grads.append(g)
-    return grads
+def numerical_grad(f, theta, h=1e-6):
+    g = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        hi = f()
+        theta[i] = orig - h
+        lo = f()
+        theta[i] = orig
+        g[i] = (hi - lo) / (2 * h)
+    return g
+
+
+def _by_layer(net, vector):
+    """A vector laid out like net.theta, split into its layer matrices."""
+    ends = np.cumsum([a.size for a in net.layers])[:-1]
+    return [g.reshape(a.shape) for g, a in zip(np.split(vector, ends), net.layers)]
 
 
 def test_zero_init_outputs_zero():
@@ -114,18 +114,20 @@ def test_call_reuses_its_arrays_without_carrying_values():
 
 
 def _assert_layer_views(net):
-    """weights[l] and biases[l] are exactly the first rows and the last row
-    of the one (n_in + 1, n_out) matrix layers[l], and params lists them."""
-    sizes = net.layer_sizes
-    assert len(net.layers) == len(net.weights) == len(net.biases) == len(sizes) - 1
+    """Every layers[l] is the (n_in + 1, n_out) view of net.theta at its
+    offset, the layers in order, and together they cover theta."""
+    sizes, theta = net.layer_sizes, net.theta
+    assert theta.ndim == 1 and theta.flags.c_contiguous and len(net.layers) == len(sizes) - 1
+    start = 0
     for l, a in enumerate(net.layers):
-        assert a.shape == (sizes[l] + 1, sizes[l + 1]) and a.flags.c_contiguous
-        assert net.weights[l].__array_interface__ == a[:-1].__array_interface__
-        assert net.biases[l].__array_interface__ == a[-1].__array_interface__
-    assert all(p is q for p, q in zip(net.params, net.weights + net.biases))
+        assert a.shape == (sizes[l] + 1, sizes[l + 1])
+        view = theta[start:start + a.size].reshape(a.shape)
+        assert a.__array_interface__ == view.__array_interface__
+        start += a.size
+    assert start == theta.size
 
 
-def test_weights_and_biases_stay_views_of_one_layer_matrix(tmp_path):
+def test_layers_stay_views_of_theta(tmp_path):
     rng = np.random.default_rng(15)
     net = Mlp([3, 8, 5, 2], rng=rng)
     _assert_layer_views(net)
@@ -136,30 +138,28 @@ def test_weights_and_biases_stay_views_of_one_layer_matrix(tmp_path):
     save_checkpoint(path, net, "kind", "test")
     _assert_layer_views(load_checkpoint(path, "kind", "test"))
     x, target = rng.standard_normal((16, 3)), rng.standard_normal((16, 2))
-    layers = list(net.layers)
+    theta, layers = net.theta, list(net.layers)
     fit(net, 3, lambda step: (x, target), lambda step: 1e-2)
     _assert_layer_views(net)
-    assert all(a is b for a, b in zip(net.layers, layers))
+    assert net.theta is theta and all(a is b for a, b in zip(net.layers, layers))
     # a write through a view reaches the net's arithmetic
-    net.biases[-1][:] = 0.0
-    net.weights[-1][:] = 0.0
+    net.layers[-1][:] = 0.0
     np.testing.assert_array_equal(net(x), np.zeros((16, 2)))
 
 
 def test_astype_copies_every_parameter():
-    # a cast copy owns its arrays: the net keeps its float64 arrays, and a
+    # a cast copy owns its vector: the net keeps its float64 vector, and a
     # change to either side does not reach the other
     net = Mlp([3, 8, 5, 2], rng=np.random.default_rng(14))
-    arrays = list(net.params)
+    theta = net.theta
     for dtype in (np.float32, np.float64):
         copy = net.astype(dtype)
         assert copy.layer_sizes == net.layer_sizes
-        for got, want in zip(copy.params, net.params):
-            assert got.dtype == dtype and not np.shares_memory(got, want)
-            np.testing.assert_array_equal(got, want.astype(dtype))
-    assert all(p is q and p.dtype == np.float64 for p, q in zip(net.params, arrays))
-    copy.weights[0][0, 0] += 1.0
-    assert copy.weights[0][0, 0] != net.weights[0][0, 0]
+        assert copy.theta.dtype == dtype and not np.shares_memory(copy.theta, theta)
+        np.testing.assert_array_equal(copy.theta, theta.astype(dtype))
+    assert net.theta is theta and theta.dtype == np.float64
+    copy.layers[0][0, 0] += 1.0
+    assert copy.layers[0][0, 0] != net.layers[0][0, 0]
 
 
 def test_constructor_validation():
@@ -178,14 +178,13 @@ def test_backward_matches_finite_differences():
         return 0.5 * np.sum((out - target) ** 2)
 
     out, cache = net.forward(x)
-    grads = net.backward(cache, out - target)
-    expected = numerical_grad(loss, net.params)
-    for g, e in zip(grads, expected):
-        np.testing.assert_allclose(g, e, rtol=1e-6, atol=1e-8)
+    grad = net.backward(cache, out - target)
+    expected = numerical_grad(loss, net.theta)
+    np.testing.assert_allclose(grad, expected, rtol=1e-6, atol=1e-8)
 
 
 def _step(net, x, target, cache=None):
-    """One forward and backward pass; returns (output, grads, cache)."""
+    """One forward and backward pass; returns (output, gradient, cache)."""
     out, cache = net.forward(x, cache)
     return out, net.backward(cache, out - target), cache
 
@@ -194,7 +193,7 @@ def _step(net, x, target, cache=None):
 def test_reused_workspace_matches_fresh_arrays(sizes):
     # two steps on different inputs through one workspace: the second writes
     # into the first one's arrays, and neither changes a bit of its output or
-    # gradients against fresh-array calls; for the net and its float32 copy,
+    # gradient against fresh-array calls; for the net and its float32 copy,
     # all of them are in the parameters' dtype, though the inputs are float64
     rng = np.random.default_rng(6)
     net64 = Mlp(sizes, rng=rng)
@@ -205,17 +204,16 @@ def test_reused_workspace_matches_fresh_arrays(sizes):
         results = []
         cache = Workspace()
         for x, t in ((x1, t1), (x2, t2)):
-            out, grads, cache_out = _step(net, x, t, cache)
+            out, grad, cache_out = _step(net, x, t, cache)
             assert cache_out is cache
-            assert all(a.dtype == dtype for a in [out, *grads, *cache.acts])
-            ref_out, ref_grads, _ = _step(net, x, t)
+            assert all(a.dtype == dtype for a in [out, grad, *cache.acts])
+            ref_out, ref_grad, _ = _step(net, x, t)
             np.testing.assert_array_equal(out, ref_out)
-            for got, want in zip(grads, ref_grads):
-                np.testing.assert_array_equal(got, want)
-            results.append((out, grads, list(cache.acts)))
-        (out1, grads1, acts1), (out2, grads2, acts2) = results
+            np.testing.assert_array_equal(grad, ref_grad)
+            results.append((out, grad, list(cache.acts)))
+        (out1, grad1, acts1), (out2, grad2, acts2) = results
         assert np.shares_memory(out1, out2)
-        for a, b in zip(acts1[1:] + grads1, acts2[1:] + grads2):  # all but the input
+        for a, b in zip(acts1[1:] + [grad1], acts2[1:] + [grad2]):  # all but the input
             assert np.shares_memory(a, b)
         # backward reads grad_out without writing it
         grad_out = out2 - t1
@@ -228,99 +226,98 @@ def test_workspace_of_another_batch_shape_is_not_reused():
     rng = np.random.default_rng(7)
     net = Mlp([3, 8, 8, 2], rng=rng)
     x, t = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
-    _, grads, cache = _step(net, x, t, Workspace())
+    _, grad, cache = _step(net, x, t, Workspace())
     acts = list(cache.acts)
     # fewer rows: new activation arrays, exactly the fresh-array result
-    out_small, grads_small, cache = _step(net, x[:7], t[:7], cache)
-    ref_out, ref_grads, _ = _step(net, x[:7], t[:7])
+    out_small, grad_small, cache = _step(net, x[:7], t[:7], cache)
+    ref_out, ref_grad, _ = _step(net, x[:7], t[:7])
     np.testing.assert_array_equal(out_small, ref_out)
-    for got, want in zip(grads_small, ref_grads):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(grad_small, ref_grad)
     for a, b in zip(cache.acts[1:], acts[1:]):
         assert a.shape != b.shape and not np.shares_memory(a, b)
-    # the gradients' shapes do not depend on the batch, so they stay in place
-    assert all(np.shares_memory(a, b) for a, b in zip(grads_small, grads))
+    # the gradient's shape does not depend on the batch, so it stays in place
+    assert grad_small is grad
     # a net of other widths gets arrays of its own shapes, and a float32
     # copy of the first net arrays of its own dtype
     for other in (Mlp([3, 4, 2], rng=rng), net.astype(np.float32)):
-        out_other, grads_other, _ = _step(other, x, t, cache)
-        ref_out, ref_grads, _ = _step(other, x, t)
+        out_other, grad_other, _ = _step(other, x, t, cache)
+        ref_out, ref_grad, _ = _step(other, x, t)
         np.testing.assert_array_equal(out_other, ref_out)
-        for got, want in zip(grads_other, ref_grads):
-            np.testing.assert_array_equal(got, want)
-    assert not any(np.shares_memory(a, b) for a, b in zip(grads_other, grads))
+        np.testing.assert_array_equal(grad_other, ref_grad)
+        assert not np.shares_memory(grad_other, grad)
 
 
-def _adam_reference(params, grads, m, v, t, lr):
+def _adam_reference(p, g, m, v, t, lr):
     """Adam with one expression per quantity and fresh temporaries; adam_step
     must match it bit for bit."""
     b1, b2, eps = 0.9, 0.999, 1e-8
-    for p, g, mi, vi in zip(params, grads, m, v):
-        mi *= b1
-        mi += (1.0 - b1) * g
-        vi *= b2
-        vi += (1.0 - b2) * g**2
-        mhat = mi / (1.0 - b1**t)
-        vhat = vi / (1.0 - b2**t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g**2
+    mhat = m / (1.0 - b1**t)
+    vhat = v / (1.0 - b2**t)
+    p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def _layer_scaled_grad(rng, layers, dtype=np.float64):
+    """A random gradient per layer matrix, each at its own scale."""
+    return [(rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+            for a in layers]
 
 
 def test_adam_step_matches_reference_expression():
     rng = np.random.default_rng(8)
     net = Mlp([3, 16, 16, 2], rng=rng)
-    ref = [p.copy() for p in net.params]
-    m = [np.zeros_like(p) for p in ref]
-    v = [np.zeros_like(p) for p in ref]
-    state = AdamState(net.params)
+    ref = net.theta.copy()
+    m, v = np.zeros_like(ref), np.zeros_like(ref)
+    state = AdamState(net.theta)
     for t in range(1, 8):
-        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for p in ref]
+        grad = np.concatenate([g.ravel() for g in _layer_scaled_grad(rng, net.layers)])
         lr = np.float64(8e-3) * 0.5 * (1.0 + np.cos(np.pi * t / 8))
-        adam_step(net.params, grads, state, lr=lr)
-        _adam_reference(ref, grads, m, v, t, lr)
-        for got, want in zip(net.params, ref):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(state.m + state.v, m + v):
-            np.testing.assert_array_equal(got, want)
+        adam_step(net.theta, grad, state, lr=lr)
+        _adam_reference(ref, grad, m, v, t, lr)
+        np.testing.assert_array_equal(net.theta, ref)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_step_over_one_vector_matches_per_array(dtype):
-    # Adam is elementwise, so one state over the concatenated parameters
-    # moves every value exactly as one state per array does
+    # Adam is elementwise, so one state over theta moves every value exactly
+    # as one state per layer matrix does
     rng = np.random.default_rng(18)
-    params = [p.astype(dtype) for p in Mlp([3, 16, 16, 2], rng=rng).params]
-    flat = np.concatenate([p.ravel() for p in params])
-    flat_state, state = AdamState([flat]), AdamState(params)
+    net = Mlp([3, 16, 16, 2], rng=rng).astype(dtype)
+    layers = [a.copy() for a in net.layers]
+    state, states = AdamState(net.theta), [AdamState(a) for a in layers]
     for t in range(1, 8):
-        grads = [(rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
-                 for p in params]
+        grads = _layer_scaled_grad(rng, layers, dtype)
         lr = 8e-3 * 0.5 * (1.0 + np.cos(np.pi * t / 8))
-        adam_step(params, grads, state, lr=lr)
-        adam_step([flat], [np.concatenate([g.ravel() for g in grads])], flat_state, lr=lr)
-        assert flat.dtype == dtype
-        np.testing.assert_array_equal(flat, np.concatenate([p.ravel() for p in params]))
-        for got, want in zip((flat_state.m[0], flat_state.v[0]), (state.m, state.v)):
+        for a, g, s in zip(layers, grads, states):
+            adam_step(a, g, s, lr=lr)
+        adam_step(net.theta, np.concatenate([g.ravel() for g in grads]), state, lr=lr)
+        assert net.theta.dtype == dtype
+        for got, want in ((net.theta, layers), (state.m, [s.m for s in states]),
+                          (state.v, [s.v for s in states])):
             np.testing.assert_array_equal(got, np.concatenate([a.ravel() for a in want]))
 
 
 def test_adam_zero_grad_is_noop():
     net = Mlp([2, 4, 1], rng=np.random.default_rng(0))
-    before = [p.copy() for p in net.params]
-    state = AdamState(net.params)
-    adam_step(net.params, [np.zeros_like(p) for p in net.params], state, lr=0.1)
-    for p, b in zip(net.params, before):
-        np.testing.assert_array_equal(p, b)
+    before = net.theta.copy()
+    state = AdamState(net.theta)
+    adam_step(net.theta, np.zeros_like(net.theta), state, lr=0.1)
+    np.testing.assert_array_equal(net.theta, before)
 
 
 def test_adam_first_step_magnitude():
     # with bias correction, the first update is lr * g / (|g| + eps): bounded
     # by lr regardless of the gradient scale
     p = np.array([1.0, -2.0, 0.5])
-    params = [p]
     g = np.array([100.0, -0.003, 1e-9])
-    state = AdamState(params)
+    state = AdamState(p)
     before = p.copy()
-    adam_step(params, [g], state, lr=0.01)
+    adam_step(p, g, state, lr=0.01)
     delta = p - before
     assert np.all(np.abs(delta) <= 0.01 * (1 + 1e-6))
     # large-gradient coordinates move essentially a full step against the sign
@@ -331,28 +328,19 @@ def test_adam_first_step_magnitude():
 def test_adam_minimizes_quadratic():
     target = np.array([3.0, -1.0])
     p = np.zeros(2)
-    params = [p]
-    state = AdamState(params)
+    state = AdamState(p)
     for _ in range(2000):
         g = 2.0 * (p - target)
-        adam_step(params, [g], state, lr=0.05)
+        adam_step(p, g, state, lr=0.05)
     np.testing.assert_allclose(p, target, atol=1e-3)
 
 
 def test_adam_shape_mismatch():
     p = np.zeros(3)
-    state = AdamState([p])
-    with pytest.raises(ValueError):
-        adam_step([p], [np.zeros(4)], state, lr=0.1)
-    with pytest.raises(ValueError):
-        adam_step([p], [], state, lr=0.1)
-
-
-def test_all_finite_flag():
-    net = Mlp([2, 3, 1], rng=np.random.default_rng(0))
-    assert net.all_finite()
-    net.weights[0][0, 0] = np.nan
-    assert not net.all_finite()
+    state = AdamState(p)
+    for g in (np.zeros(4), np.zeros((3, 1)), []):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            adam_step(p, g, state, lr=0.1)
 
 
 def _batches(rng, steps, rows=16):
@@ -371,8 +359,7 @@ def test_fit_stops_at_non_finite_loss(k):
     net = Mlp([3, 8, 2], rng=np.random.default_rng(10))
     with pytest.raises(DivergenceError, match=f"non-finite loss at step {k}$"):
         fit(net, k + 2, data.__getitem__, lambda step: 1e-2)
-    for got, want in zip(net.params, ref.params):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(net.theta, ref.theta)
 
 
 def test_fit_takes_any_real_learning_rate_as_a_float():
@@ -384,8 +371,7 @@ def test_fit_takes_any_real_learning_rate_as_a_float():
     rate = 8e-3 / 3
     fit(nets[0], 6, data.__getitem__, lambda step: np.float64(rate))
     fit(nets[1], 6, data.__getitem__, lambda step: rate)
-    for got, want in zip(*(net.params for net in nets)):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(nets[0].theta, nets[1].theta)
 
 
 def test_fit_refuses_non_finite_parameters():
@@ -398,31 +384,29 @@ def test_fit_refuses_non_finite_parameters():
 
 
 def _abs_gradient_terms(net, x, target):
-    """For each gradient of the float64 `squared_error` pass, ordered like
-    net.params, the sum over rows of |layer input| * |delta|: the magnitude
-    of the terms that the gradient sums."""
+    """For each layer of the float64 `squared_error` pass, the sum over rows
+    of |layer input| * |delta| for its weights and of |delta| for its bias:
+    the magnitude of the terms that each gradient sums."""
     acts = [x]
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = acts[-1] @ w + b
-        acts.append(np.tanh(h) if l < len(net.weights) - 1 else h)
-    n_layers = len(net.weights)
-    terms = [None] * (2 * n_layers)
+    for l, a in enumerate(net.layers):
+        h = acts[-1] @ a[:-1] + a[-1]
+        acts.append(np.tanh(h) if l < len(net.layers) - 1 else h)
+    terms = []
     delta = (2.0 / len(x)) * (acts[-1] - target)
-    for l in range(n_layers - 1, -1, -1):
-        if l < n_layers - 1:
+    for l in range(len(net.layers) - 1, -1, -1):
+        if l < len(net.layers) - 1:
             delta = delta * (1.0 - acts[l + 1] ** 2)
-        terms[l] = np.abs(acts[l]).T @ np.abs(delta)
-        terms[n_layers + l] = np.sum(np.abs(delta), axis=0)
-        delta = delta @ net.weights[l].T
+        terms.insert(0, (np.abs(acts[l]).T @ np.abs(delta), np.sum(np.abs(delta), axis=0)))
+        delta = delta @ net.layers[l][:-1].T
     return terms
 
 
 def test_fit_step_gradients_within_float32_rounding(monkeypatch):
-    # fit's step runs forward and backward in float32, with the gradients in
-    # one flat vector that Adam sees whole, split here by layer matrix and
-    # each matrix into its weights and its bias row. A float32 sum of n
-    # terms (the bias row's n - 1 of them times the input's row of ones) is
-    # off by at most about n * eps times the sum of
+    # fit's step runs forward and backward in float32, with the gradient in
+    # one vector laid out like theta that Adam sees whole, split here by
+    # layer matrix and each matrix into its weights and its bias row. A
+    # float32 sum of n terms (the bias row's n - 1 of them times the input's
+    # row of ones) is off by at most about n * eps times the sum of
     # their magnitudes, and every factor carries the rounding of the layers
     # before it; so each gradient moves from the float64 one of
     # squared_error by at most eps * (rows + sum of widths) * sum |a| |delta|.
@@ -436,21 +420,20 @@ def test_fit_step_gradients_within_float32_rounding(monkeypatch):
     want_loss, want = squared_error(net, x, target)
     seen = []
 
-    def spy(params, grads, state, lr):
-        seen.append([g.copy() for g in grads])
-        adam_step(params, grads, state, lr)
+    def spy(theta, grad, state, lr):
+        seen.append(grad.copy())
+        adam_step(theta, grad, state, lr)
 
     monkeypatch.setattr(mlp, "adam_step", spy)
     losses = fit(net.astype(np.float64), 1, lambda step: (x, target), lambda step: 1e-3)
     (flat,) = seen
-    layers = np.split(flat[0], np.cumsum([a.size for a in net.layers])[:-1])
-    layers = [g.reshape(a.shape) for g, a in zip(layers, net.layers)]
-    got = [g[:-1] for g in layers] + [g[-1] for g in layers]
     eps = float(np.finfo(np.float32).eps)
     scale = eps * (len(x) + sum(net.layer_sizes))
-    for g32, g64, terms in zip(got, want, _abs_gradient_terms(net, x, target)):
+    for g32, g64, (w_terms, b_terms) in zip(_by_layer(net, flat), _by_layer(net, want),
+                                            _abs_gradient_terms(net, x, target)):
         assert g32.dtype == np.float32
-        assert np.all(np.abs(g32 - g64) <= scale * terms)
+        assert np.all(np.abs(g32[:-1] - g64[:-1]) <= scale * w_terms)
+        assert np.all(np.abs(g32[-1] - g64[-1]) <= scale * b_terms)
     out = net(x)
     resid = np.abs(out - target)
     tol_out = eps * sum(net.layer_sizes[:-1]) * max(1.0, np.max(np.abs(out)))
@@ -459,26 +442,24 @@ def test_fit_step_gradients_within_float32_rounding(monkeypatch):
 
 
 def test_fit_keeps_float64_parameter_arrays(tmp_path):
-    # fit trains float32 parameters and writes them into the caller's arrays:
-    # after fit the net has the same float64 array objects, trained, every
-    # value of them a float32 value, and its checkpoint holds them
+    # fit trains float32 parameters and writes them into the caller's theta:
+    # after fit the net has the same float64 vector, every layer of it
+    # trained, every value of it a float32 value, and its checkpoint holds it
     data = _batches(np.random.default_rng(16), 5)
     net = Mlp([3, 8, 8, 2], rng=np.random.default_rng(17))
-    arrays = list(net.params)
-    before = [p.copy() for p in arrays]
+    theta = net.theta
+    before = [a.copy() for a in net.layers]
     fit(net, 5, data.__getitem__, lambda step: 1e-2)
-    assert all(p is q and p.dtype == np.float64 for p, q in zip(net.params, arrays))
-    assert all(not np.array_equal(p, q) for p, q in zip(net.params, before))
-    for p in net.params:
-        np.testing.assert_array_equal(p.astype(np.float32).astype(np.float64), p)
+    assert net.theta is theta and theta.dtype == np.float64
+    assert all(not np.array_equal(a, b) for a, b in zip(net.layers, before))
+    np.testing.assert_array_equal(theta.astype(np.float32).astype(np.float64), theta)
     path = tmp_path / "trained.npz"
     save_checkpoint(str(path), net, "head", "mean")
     with np.load(path) as saved:
         assert saved.files == ["version", "head", "layer_sizes", "w0", "w1", "w2", "b0", "b1", "b2"]
     loaded = load_checkpoint(str(path), "head", "mean")
-    for got, want in zip(loaded.params, net.params):
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, want)
+    assert loaded.theta.dtype == np.float64
+    np.testing.assert_array_equal(loaded.theta, net.theta)
 
 
 def _checkpoint_file(path, **replace):
@@ -529,5 +510,4 @@ def test_load_checkpoint_roundtrip(tmp_path):
     net = load_checkpoint(str(path), "head", "mean")
     ref = Mlp([3, 8, 2], rng=np.random.default_rng(13))
     assert net.layer_sizes == [3, 8, 2]
-    for got, want in zip(net.params, ref.params):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(net.theta, ref.theta)

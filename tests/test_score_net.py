@@ -30,16 +30,12 @@ def small_schedule():
     return build_schedule(0.05, 4.0, 16)
 
 
-def write_legacy_checkpoint(path, net, head="mean"):
-    """A score checkpoint in the original on-disk layout, written key by key."""
-    np.savez(
-        path,
-        version=1,
-        head=head,
-        layer_sizes=np.array(net.layer_sizes),
-        **{f"w{i}": w for i, w in enumerate(net.weights)},
-        **{f"b{i}": b for i, b in enumerate(net.biases)},
-    )
+def write_legacy_checkpoint(path, net, head="mean", **replace):
+    """A score checkpoint in the original on-disk layout, written key by key;
+    `replace` swaps in other arrays under their keys."""
+    arrays = {f"w{i}": a[:-1] for i, a in enumerate(net.layers)}
+    arrays.update({f"b{i}": a[-1] for i, a in enumerate(net.layers)}, **replace)
+    np.savez(path, version=1, head=head, layer_sizes=np.array(net.layer_sizes), **arrays)
 
 
 def test_model_shape_validation():
@@ -110,7 +106,7 @@ def test_dsm_loss_zero_residual_is_zero():
     # denoiser then reproduces z0 for every draw
     z1 = 0.4 - 0.2j
     net = Mlp([3, 4, 2])
-    net.biases[-1][:] = (z1.real, z1.imag)
+    net.layers[-1][-1] = (z1.real, z1.imag)
     model = MlpScoreModel(net=net)
     z0 = np.full(256, z1)
     loss, grads = dsm_loss(model, z0, small_schedule(), stream_rng(5, 0))
@@ -171,25 +167,20 @@ def test_dsm_gradients_match_finite_differences():
         # loss is a deterministic function of the parameters
         return dsm_loss(model, z0, sched, stream_rng(99, 0))[0]
 
-    _, grads = dsm_loss(model, z0, sched, stream_rng(99, 0))
+    _, grad = dsm_loss(model, z0, sched, stream_rng(99, 0))
     h = 1e-6
-    checked = 0
-    for p, g in zip(net.params, grads):
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
-            orig = p[ix]
-            p[ix] = orig + h
-            hi = loss_at_current_params()
-            p[ix] = orig - h
-            lo = loss_at_current_params()
-            p[ix] = orig
-            num = (hi - lo) / (2 * h)
-            denom = max(abs(num), abs(g[ix]), 1e-8)
-            assert abs(g[ix] - num) / denom < 1e-4, (ix, g[ix], num)
-            checked += 1
-            it.iternext()
-    assert checked >= 100
+    theta = net.theta
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        hi = loss_at_current_params()
+        theta[i] = orig - h
+        lo = loss_at_current_params()
+        theta[i] = orig
+        num = (hi - lo) / (2 * h)
+        denom = max(abs(num), abs(grad[i]), 1e-8)
+        assert abs(grad[i] - num) / denom < 1e-4, (i, grad[i], num)
+    assert grad.shape == theta.shape and theta.size >= 100
 
 
 def test_config_validation():
@@ -209,47 +200,47 @@ def test_train_deterministic():
     cfg = DsmConfig(schedule=sched, hidden=(8,), steps=300, learning_rate=3e-3, seed=4)
     m1, t1 = train_score(build_bpsk(), cfg)
     m2, t2 = train_score(build_bpsk(), cfg)
-    for a, b in zip(m1.net.params, m2.net.params):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(m1.net.theta, m2.net.theta)
     np.testing.assert_array_equal(t1, t2)
 
 
 def _train_score_fresh(scheme, config):
     """train_score's loop with fresh arrays on every step: one float32 copy
     of the net, whose forward and backward allocate their own arrays, Adam
-    on each of its arrays at a float learning rate, and the trained values
-    cast back into the float64 net at the end."""
+    with one state per layer matrix at a float learning rate, and the
+    trained values cast back into the float64 net at the end."""
     rng = stream_rng(config.seed, 0)
     net = Mlp([3, *config.hidden, 2], rng=rng)
     net32 = net.astype(np.float32)
-    state = AdamState(net32.params)
+    states = [AdamState(a) for a in net32.layers]
+    ends = np.cumsum([a.size for a in net32.layers])[:-1]
     trace = []
     for step in range(config.steps):
         z0 = scheme.points[rng.integers(0, scheme.order, size=config.batch_size)]
-        loss, grads = dsm_loss(MlpScoreModel(net=net32), z0, config.schedule, rng)
+        loss, grad = dsm_loss(MlpScoreModel(net=net32), z0, config.schedule, rng)
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.steps))
-        adam_step(net32.params, grads, state, lr=float(max(lr, config.learning_rate * 0.01)))
+        for a, g, state in zip(net32.layers, np.split(grad, ends), states):
+            adam_step(a, g.reshape(a.shape), state, lr=float(max(lr, config.learning_rate * 0.01)))
         trace.append(loss)
-    for p, p32 in zip(net.params, net32.params):
-        p[...] = p32
+    for a, a32 in zip(net.layers, net32.layers):
+        a[...] = a32
     return MlpScoreModel(net=net), np.array(trace)
 
 
 @pytest.mark.parametrize("hidden", [(8,), (128, 128)])
 def test_train_score_matches_fresh_array_loop(hidden):
-    # training computes on one flat float32 parameter vector, with one flat
-    # gradient vector and one Adam state over it, through one workspace; none
-    # of that changes a bit of the loss trace or of the trained float64
-    # parameters against per-array Adam on a float32 copy of the net
+    # training updates the float32 copy's theta by one Adam pass over the
+    # gradient vector, through one workspace; none of that changes a bit of
+    # the loss trace or of the trained float64 parameters against per-layer
+    # Adam on a float32 copy of the net
     cfg = DsmConfig(schedule=build_schedule(0.01, 10.0, 64), hidden=hidden, steps=20,
                     learning_rate=8e-3, seed=12)
     scheme = build_square_qam(64)
     model, trace = train_score(scheme, cfg)
     ref_model, ref_trace = _train_score_fresh(scheme, cfg)
     np.testing.assert_array_equal(trace, ref_trace)
-    for got, want in zip(model.net.params, ref_model.net.params):
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, want)
+    assert model.net.theta.dtype == np.float64
+    np.testing.assert_array_equal(model.net.theta, ref_model.net.theta)
 
 
 def test_training_reduces_loss():
@@ -284,9 +275,7 @@ def test_checkpoint_roundtrip(tmp_path):
         load_model(str(noise))
     # parameter arrays must match the layer sizes instead of broadcasting
     bad_shape = tmp_path / "bad_shape.npz"
-    bad = Mlp([3, 8, 2])
-    bad.biases[1] = np.zeros(1)
-    write_legacy_checkpoint(bad_shape, bad)
+    write_legacy_checkpoint(bad_shape, Mlp([3, 8, 2]), b1=np.zeros(1))
     with pytest.raises(ValueError, match="b1"):
         load_model(str(bad_shape))
     # a decoder checkpoint is not a score model
@@ -322,19 +311,17 @@ def test_model_score_fn_adapter():
 
 def test_model_score_fn_snapshots_and_leaves_the_net():
     # the float32 copy is taken when the adapter is made: model.net keeps its
-    # float64 arrays, bit for bit, and a later change to it does not reach
+    # float64 vector, bit for bit, and a later change to it does not reach
     # the adapter
     model = MlpScoreModel(net=Mlp([3, 8, 2], rng=stream_rng(4, 0)))
-    before = [p.copy() for p in model.net.params]
-    arrays = [id(p) for p in model.net.params]
+    theta = model.net.theta
+    before = theta.copy()
     fn = model_score_fn(model)
     z = np.array([0.3 - 0.2j, -1.0 + 0.5j])
     first = fn(z, 0.7)
-    assert [id(p) for p in model.net.params] == arrays
-    for p, q in zip(model.net.params, before):
-        assert p.dtype == np.float64
-        np.testing.assert_array_equal(p, q)
-    model.net.biases[-1] += 1.0
+    assert model.net.theta is theta and theta.dtype == np.float64
+    np.testing.assert_array_equal(theta, before)
+    model.net.layers[-1][-1] += 1.0
     np.testing.assert_array_equal(fn(z, 0.7), first)
     assert not np.array_equal(model_score_fn(model)(z, 0.7), first)
 
@@ -344,15 +331,15 @@ def test_model_score_fn_refuses_parameters_beyond_float32():
     # with no overflow warning; NaN and inf stay what they are (the sampler
     # and relative_score_error report them as divergence)
     model = MlpScoreModel(net=Mlp([3, 8, 2], rng=stream_rng(5, 0)))
-    model.net.weights[0][1, 2] = -1e39
+    model.net.layers[0][1, 2] = -1e39
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="beyond float32's range"):
             model_score_fn(model)
         for value in (np.nan, np.inf):
-            model.net.weights[0][1, 2] = value
+            model.net.layers[0][1, 2] = value
             model_score_fn(model)
-    model.net.weights[0][1, 2] = float(np.finfo(np.float32).max)
+    model.net.layers[0][1, 2] = float(np.finfo(np.float32).max)
     model_score_fn(model)
 
 
