@@ -73,20 +73,33 @@ def snr_to_sigma(snr_db: float) -> float:
     return sigma
 
 
+def check_sigma(sigma: float) -> None:
+    """Raise ValueError unless the noise std sigma is finite and positive
+    (NaN is neither). Every function that takes a noise std checks it here.
+    It is not in `__all__`, whose functions perfbench's tracer wraps: the
+    oracle and the learned score call it once per score evaluation."""
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+
+
 def awgn_transmit(z: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Transmit z through an AWGN channel: z + sigma * CN(0, I)."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    """Transmit z through an AWGN channel: z + sigma * CN(0, I). sigma = 0 is
+    the noiseless channel, which returns a copy of z; any other sigma must
+    pass `check_sigma`."""
     z = np.asarray(z, dtype=np.complex128)
     if sigma == 0:
         return z.copy()
+    check_sigma(sigma)
     return z + sigma * complex_noise(rng, z.shape)
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Increasing sigma grid sigma_1..sigma_N, with sigma_0 = 0 by convention;
-    its largest level `sigma_max` and its length `n_steps` are derived."""
+    its largest level `sigma_max` and its length `n_steps` are derived.
+    Raises ValueError unless the grid is 1-D, non-empty, finite, positive and
+    strictly increasing: the sampler steps down it and training draws its
+    levels."""
 
     sigmas: np.ndarray = field(repr=False)  # shape (N,), sigmas[i-1] == sigma_i
     sigma_max: float = field(init=False)
@@ -94,6 +107,10 @@ class NoiseSchedule:
 
     def __post_init__(self):
         sigmas = np.asarray(self.sigmas, dtype=float)
+        if not (sigmas.ndim == 1 and sigmas.size and np.all(np.isfinite(sigmas))
+                and sigmas[0] > 0 and np.all(np.diff(sigmas) > 0)):
+            raise ValueError("a noise schedule must be a non-empty 1-D grid of finite, "
+                             f"positive, strictly increasing sigmas, got {sigmas}")
         sigmas.setflags(write=False)
         object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "sigma_max", float(sigmas[-1]))

@@ -45,6 +45,7 @@ import functools
 
 import numpy as np
 
+from .channel import check_sigma
 from .constellation import ConstellationScheme
 
 __all__ = [
@@ -64,15 +65,10 @@ _HERMITE_ORDER = 320
 _EXP_FLOOR = -700.0
 
 
-def _check_sigma(sigma: float) -> None:
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-
-
 def log_density(z: np.ndarray, sigma: float, scheme: ConstellationScheme) -> np.ndarray:
     """log p_sigma(z) per symbol: the sum over the two axes of the 1-D
     log-density log((1/L) sum_l N(x; l, sigma^2 / 2)), by log-sum-exp."""
-    _check_sigma(sigma)
+    check_sigma(sigma)
     z = np.asarray(z, dtype=np.complex128)
     out = -np.log(np.pi * sigma**2)
     for x, levels in zip((z.real.ravel(), z.imag.ravel()), scheme.axis_levels):
@@ -94,7 +90,7 @@ def posterior_mean(z: np.ndarray, sigma: float, scheme: ConstellationScheme) -> 
     """MMSE estimate E[z0 | z]: the posterior-weighted mean of the points,
     computed per axis. `mixture_score` is computed from it (Tweedie's formula).
     """
-    _check_sigma(sigma)
+    check_sigma(sigma)
     z = np.asarray(z, dtype=np.complex128)
     mean = scheme.per_axis(lambda x, levels: _axis_mean(x, sigma, levels), z)
     return mean.view(np.complex128).reshape(z.shape)
@@ -151,7 +147,7 @@ def mmse_bound(sigma: float, scheme: ConstellationScheme) -> float:
     decision-boundary transitions and the relative error grows (4e-6 at
     sigma = d / 5 on 64-QAM), while the absolute error stays below 1e-8.
     """
-    _check_sigma(sigma)
+    check_sigma(sigma)
     t, w = _hermite_rule()
     total = 0.0
     for levels in scheme.axis_levels:

@@ -1,25 +1,28 @@
 """Reverse-diffusion sampler over the annealed noise schedule.
 
 Scores are gradients with respect to (Re z, Im z), and CN(0, sigma^2) noise
-puts sigma^2 / 2 of variance on each real dimension. The sampler runs the
-discrete reverse-diffusion predictor
+puts sigma^2 / 2 of variance on each real dimension. The sampler has one
+step rule, the discrete reverse-diffusion predictor
 
     z_i = z_{i+1} + (sigma_{i+1}^2 - sigma_i^2) / 2 * s(z_{i+1}, sigma_{i+1})
                + sqrt(sigma_{i+1}^2 - sigma_i^2) eps,     eps ~ CN(0, 1)
 
-from the received symbols' level down to level 1, and ends at its lowest
-noise level sigma (sigma_1, or sigma_start if that is lower) with a
-noise-free Tweedie step, z + (sigma^2 / 2) s(z, sigma), which removes the
-residual noise. A denoise from level k therefore makes exactly k score
-evaluations. With the exact score the chain samples the posterior
-p(z_0 | z_start), up to discretization error. Every operation is
-elementwise, so each symbol's output depends only on its own input and
-noise draws, whatever the batch shape: bit for bit with the exact score,
-and up to rounding with a learned one, whose matrix products BLAS computes
-with kernels chosen by problem size. Any (z, sigma) -> score callable
-works: the exact mixture oracle or a trained model through
-`score_model.model_score_fn`, which evaluates the network in float32, so a
-learned score carries float32 rounding (about 1e-7 relative in D).
+and one walk, from the received symbols' level down to sigma_0 = 0.
+`predictor_step` is pure: it takes eps from its caller and adds no noise
+term when given none. The walk draws eps for every step above sigma = 0
+and none for the step to sigma = 0, which is therefore the noise-free
+Tweedie step z + (sigma^2 / 2) s(z, sigma) from the lowest noise level
+(sigma_1, or sigma_start if that is lower) and removes the residual noise.
+A denoise from level k therefore makes exactly k score evaluations. With
+the exact score the chain samples the posterior p(z_0 | z_start), up to
+discretization error. Every operation is elementwise, so each symbol's
+output depends only on its own input and noise draws, whatever the batch
+shape: bit for bit with the exact score, and up to rounding with a learned
+one, whose matrix products BLAS computes with kernels chosen by problem
+size. Any (z, sigma) -> score callable works: the exact mixture oracle or a
+trained model through `score_model.model_score_fn`, which evaluates the
+network in float32, so a learned score carries float32 rounding (about
+1e-7 relative in D).
 """
 
 from __future__ import annotations
@@ -52,21 +55,22 @@ def predictor_step(
     score_fn,
     sigma_next: float,
     sigma_cur: float,
-    rng: np.random.Generator,
+    noise: np.ndarray | None,
 ) -> np.ndarray:
-    """One reverse-diffusion step from level sigma_next down to sigma_cur."""
-    if not sigma_next > sigma_cur >= 0:
-        raise ValueError("need sigma_next > sigma_cur >= 0")
+    """One reverse-diffusion step from level sigma_next down to sigma_cur,
+    with `noise` the CN(0, 1) draw eps, which the step only reads; no noise
+    term is added when it is None."""
+    if not np.inf > sigma_next > sigma_cur >= 0:
+        raise ValueError("need a finite sigma_next > sigma_cur >= 0")
     z_next = np.asarray(z_next, dtype=np.complex128)
     dvar = sigma_next**2 - sigma_cur**2
-    # (z_next + drift) + sqrt(dvar) * noise in that order, each sum formed
+    # (z_next + drift) + sqrt(dvar) * noise in that order, the sums formed
     # in place in the fresh drift array (a sum's bits do not depend on the
-    # order of its two terms) and the noise scaled in place
+    # order of its two terms)
     z = (dvar / 2.0) * score_fn(z_next, sigma_next)
     z += z_next
-    noise = complex_noise(rng, z_next.shape)
-    noise *= np.sqrt(dvar)
-    z += noise
+    if noise is not None:
+        z += np.sqrt(dvar) * noise
     return z
 
 
@@ -79,9 +83,10 @@ def denoise_from_level(
     observer=None,
     sigma_start: float | None = None,
 ) -> np.ndarray:
-    """Run the predictor from schedule level `level` down to level 1, then
-    the noise-free Tweedie step removing the residual noise: `level` score
-    evaluations in all.
+    """Run the predictor from schedule level `level` down to sigma_0 = 0:
+    `level` score evaluations in all. Every step above sigma = 0 draws its
+    noise from `rng`; the step to sigma = 0 adds none, so it is the Tweedie
+    step that removes the residual noise.
 
     `z` carries Gaussian noise of std `sigma_start`, which defaults to
     sigma_level and must lie in (sigma_{level-1}, sigma_level]; the first
@@ -103,15 +108,13 @@ def denoise_from_level(
         observer(level, sigma_start, z)
     sigma_hi = sigma_start
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(level - 1, 0, -1):
+        for i in range(level - 1, -1, -1):
             sigma_lo = sched.sigma(i)
-            z = predictor_step(z, score_fn, sigma_hi, sigma_lo, rng)
+            noise = complex_noise(rng, z.shape) if sigma_lo > 0 else None
+            z = predictor_step(z, score_fn, sigma_hi, sigma_lo, noise)
             if observer is not None:
                 observer(i, sigma_lo, z)
             sigma_hi = sigma_lo
-        z = z + (sigma_hi**2 / 2.0) * score_fn(z, sigma_hi)
-        if observer is not None:
-            observer(0, 0.0, z)
     if not np.all(np.isfinite(z)):
         raise DivergenceError(f"non-finite sampler output from level {level}")
     return z

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseSchedule, complex_noise, stream_rng
+from .channel import NoiseSchedule, check_sigma, complex_noise, stream_rng
 from .constellation import ConstellationScheme
 from .errors import DivergenceError
 from .mlp import Mlp, check_training, fit, load_checkpoint, save_checkpoint, squared_error
@@ -97,10 +97,11 @@ def _features(z: np.ndarray, log_sigma) -> tuple[np.ndarray, np.ndarray]:
 
 def forward_score(model: MlpScoreModel, z: np.ndarray, sigma: float) -> np.ndarray:
     """Evaluate the learned score at (z, sigma) for one scalar sigma, as the
-    sampler calls it; shape-preserving over z. A non-scalar sigma raises
-    ValueError."""
+    sampler calls it; shape-preserving over z. A non-scalar sigma, and one
+    that is not finite and positive, raise ValueError."""
     if np.ndim(sigma) != 0:
         raise ValueError(f"sigma must be a scalar, got shape {np.shape(sigma)}")
+    check_sigma(sigma)
     sig = np.float64(sigma)
     feats, zf = _features(z, np.log(sig))
     raw = model.net(feats)  # D(z, sigma) as (re, im) pairs

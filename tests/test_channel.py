@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scdenoise.channel import (
+    NoiseSchedule,
     awgn_transmit,
     build_schedule,
     complex_noise,
@@ -13,7 +14,7 @@ from scdenoise.channel import (
     stream_rng,
     vp_forward_reference,
 )
-from scdenoise.constellation import build_bpsk
+from scdenoise.constellation import build_bpsk, build_square_qam
 
 
 def default_schedule():
@@ -48,8 +49,13 @@ def test_awgn_noise_statistics():
     # circular symmetry: half the variance per real dimension
     assert np.var(noise.real) == pytest.approx(0.5, rel=0.02)
     assert np.var(noise.imag) == pytest.approx(0.5, rel=0.02)
-    with pytest.raises(ValueError):
-        awgn_transmit(z0, -1.0, rng)
+    # sigma = 0 is the noiseless channel; any other sigma must be finite and
+    # positive, and the generator is left untouched when it is refused
+    state = rng.bit_generator.state
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            awgn_transmit(z0, bad, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("shape", [(), 1, 7, (3, 5), (2, 0), 2048])
@@ -100,6 +106,30 @@ def test_schedule_two_point_and_errors():
         sched.sigma(3)
     with pytest.raises(ValueError):
         sched.sigma(-1)
+
+
+@pytest.mark.parametrize("sigmas", [
+    [],  # empty: nothing to step down or train on
+    [[0.1, 0.2], [0.3, 0.4]],  # not 1-D
+    0.5,  # a scalar is not a grid either
+    [0.1, np.nan, 1.0],  # NaN: training would end in a non-finite loss
+    [0.1, 0.5, np.inf],
+    [0.0, 0.5, 1.0],  # sigma_1 = 0 repeats the noiseless origin sigma_0
+    [-0.2, 0.5, 1.0],  # negative
+    [0.5, 0.2, 1.0],  # not increasing: the sampler would fail mid-chain
+    [0.1, 0.5, 0.5],  # repeated level
+], ids=["empty", "2d", "scalar", "nan", "inf", "zero", "negative", "unsorted", "repeated"])
+def test_schedule_refuses_unusable_grids(sigmas):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        NoiseSchedule(np.array(sigmas, dtype=float))
+
+
+def test_schedule_accepts_any_increasing_positive_grid():
+    sched = NoiseSchedule(np.array([0.3]))
+    assert (sched.n_steps, sched.sigma_max, sched.sigma(1)) == (1, 0.3, 0.3)
+    sched = NoiseSchedule([0.1, 0.25, 2.0])  # a list is taken as an array
+    np.testing.assert_array_equal(sched.sigmas, [0.1, 0.25, 2.0])
+    assert not sched.sigmas.flags.writeable
 
 
 def test_forward_diffuse_statistics():
@@ -204,6 +234,24 @@ def test_vp_reference_shrinks_mean():
     kept = forward_diffuse(z0, 64, sched, stream_rng(21, 1))
     tol = 4.0 * (sched.sigma(64) / np.sqrt(2.0)) / np.sqrt(n)
     assert np.mean(kept.real) == pytest.approx(1.0, abs=tol)
+
+
+@pytest.mark.parametrize("i", [1, 4, 16, 32])
+def test_vp_reference_rescaled_is_drift_free(i):
+    # criterion 1's check on the drifted reference: with abar = (1 - beta)^i,
+    # z_i / sqrt(abar) - z0 has mean 0 on each real axis and total variance
+    # (1 - abar) / abar, the drift-free state at that noise
+    from scdenoise.sweep import SCATTER_BETA
+
+    n = 100_000
+    rng = stream_rng(22, 0)
+    z0 = build_square_qam(64).points[rng.integers(0, 64, size=n)]
+    abar = (1.0 - SCATTER_BETA) ** i
+    dev = vp_forward_reference(z0, i, SCATTER_BETA, stream_rng(22, i)) / np.sqrt(abar) - z0
+    var = (1.0 - abar) / abar
+    assert np.mean(np.abs(dev) ** 2) == pytest.approx(var, rel=0.02)
+    tol = 4.0 * np.sqrt(var / 2.0) / np.sqrt(n)
+    assert abs(np.mean(dev.real)) <= tol and abs(np.mean(dev.imag)) <= tol
 
 
 def test_vp_reference_near_identity_for_tiny_beta():

@@ -96,13 +96,14 @@ def test_log_density_far_field_stable():
 
 
 def test_sigma_validation():
+    # a sigma that is not finite and positive is refused, not turned into
+    # NaN values or a numpy warning
     scheme = build_bpsk()
     z = np.array([0.1 + 0.1j])
     for fn in (log_density, mixture_score, posterior_mean):
-        with pytest.raises(ValueError):
-            fn(z, 0.0, scheme)
-        with pytest.raises(ValueError):
-            fn(z, -1.0, scheme)
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                fn(z, bad, scheme)
 
 
 def test_posterior_mean_within_levels():
@@ -185,8 +186,8 @@ def test_mmse_bound_limits():
         linear = sum(v * half / (v + half) for v in (np.mean(scheme.points.real**2),
                                                      np.mean(scheme.points.imag**2)))
         assert abs(mmse_bound(sigma, scheme) - linear) <= 1e-9
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
                 mmse_bound(bad, scheme)
 
 

@@ -18,13 +18,6 @@ from scdenoise.sampler import SamplerConfig, denoise_from_level, pc_sample, pred
 from scdenoise.sweep import ExperimentConfig
 
 
-class ZeroNoiseRng:
-    """Stub generator whose Gaussian draws are all zero."""
-
-    def standard_normal(self, shape=None):
-        return np.zeros(shape if shape is not None else ())
-
-
 def default_config(**kw):
     kw.setdefault("schedule", build_schedule(0.01, 10.0, 64))
     return SamplerConfig(**kw)
@@ -47,18 +40,38 @@ def test_config_validation():
 
 def test_predictor_zero_score_zero_noise_is_identity():
     z = np.array([0.3 + 0.1j, -1.0 + 2.0j])
-    out = predictor_step(z, lambda z, s: np.zeros_like(z), 1.0, 0.5, ZeroNoiseRng())
-    np.testing.assert_array_equal(out, z)
+    zero = lambda z, s: np.zeros_like(z)
+    for noise in (None, np.zeros(2, dtype=complex)):
+        np.testing.assert_array_equal(predictor_step(z, zero, 1.0, 0.5, noise), z)
+
+
+def test_predictor_step_is_pure():
+    # z_next + drift + sqrt(dvar) * noise, with the caller's noise and z_next
+    # only read: the same call twice gives the same bits, and noise=None is
+    # the noise-free step
+    rng = stream_rng(3, 0)
+    z = complex_noise(rng, (4, 16))
+    noise = complex_noise(rng, z.shape)
+    z_before, noise_before = z.copy(), noise.copy()
+    score = oracle_score_fn(build_square_qam(16))
+    sigma_next, sigma_cur = 0.8, 0.5
+    dvar = sigma_next**2 - sigma_cur**2
+    out = predictor_step(z, score, sigma_next, sigma_cur, noise)
+    np.testing.assert_array_equal(noise, noise_before)
+    np.testing.assert_array_equal(z, z_before)
+    np.testing.assert_array_equal(predictor_step(z, score, sigma_next, sigma_cur, noise), out)
+    clean = predictor_step(z, score, sigma_next, sigma_cur, None)
+    np.testing.assert_array_equal(clean, z + (dvar / 2.0) * score(z, sigma_next))
+    np.testing.assert_array_equal(out, clean + np.sqrt(dvar) * noise)
 
 
 def test_predictor_sigma_ordering():
     z = np.ones(2, dtype=complex)
     fn = lambda z, s: np.zeros_like(z)
-    rng = stream_rng(0, 0)
-    with pytest.raises(ValueError):
-        predictor_step(z, fn, 0.5, 1.0, rng)
-    with pytest.raises(ValueError):
-        predictor_step(z, fn, 1.0, 1.0, rng)
+    for sigma_next, sigma_cur in ((0.5, 1.0), (1.0, 1.0), (1.0, -0.5), (np.nan, 0.5),
+                                  (np.inf, 0.5)):
+        with pytest.raises(ValueError):
+            predictor_step(z, fn, sigma_next, sigma_cur, None)
 
 
 def test_predictor_contracts_toward_single_point():
@@ -70,7 +83,7 @@ def test_predictor_contracts_toward_single_point():
     n = 10_000
     z = z1 + 10.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     before = np.mean(np.abs(z - z1) ** 2)
-    out = predictor_step(z, oracle_score_fn(scheme), 3.0, 0.5, rng)
+    out = predictor_step(z, oracle_score_fn(scheme), 3.0, 0.5, complex_noise(rng, n))
     after = np.mean(np.abs(out - z1) ** 2)
     assert after < before
 
@@ -84,9 +97,60 @@ def test_predictor_linear_score_closed_form():
     dvar = sigma_next**2 - sigma_cur**2
     z = complex_noise(rng, n)  # E|z|^2 = 1
     score = lambda z, s: -2.0 * z / sigma_next**2
-    out = predictor_step(z, score, sigma_next, sigma_cur, rng)
+    out = predictor_step(z, score, sigma_next, sigma_cur, complex_noise(rng, n))
     expected = (1.0 - dvar / sigma_next**2) ** 2 * 1.0 + dvar
     assert np.mean(np.abs(out) ** 2) == pytest.approx(expected, rel=0.02)
+
+
+def _two_rule_chain(z, level, score_fn, sched, rng, sigma_start=None):
+    """The sampler written with two rules, as a reference: each step above
+    level 0 draws its own noise and scales it in place, and a separate
+    Tweedie line, z + (sigma^2 / 2) s, closes the chain."""
+    sigma_hi = sched.sigma(level) if sigma_start is None else sigma_start
+    z = np.asarray(z, dtype=np.complex128)
+    for i in range(level - 1, 0, -1):
+        sigma_lo = sched.sigma(i)
+        dvar = sigma_hi**2 - sigma_lo**2
+        step = (dvar / 2.0) * score_fn(z, sigma_hi)
+        step += z
+        noise = complex_noise(rng, z.shape)
+        noise *= np.sqrt(dvar)
+        step += noise
+        z, sigma_hi = step, sigma_lo
+    return z + (sigma_hi**2 / 2.0) * score_fn(z, sigma_hi)
+
+
+def test_one_walk_matches_the_two_rule_chain_bit_for_bit():
+    # the step to sigma = 0 is the old closing line: dvar / 2 is exactly
+    # sigma^2 / 2 there, and a two-term sum commutes; the generator ends in
+    # the same state, so later draws from it are unchanged too
+    from scdenoise.mlp import Mlp
+    from scdenoise.score_model import MlpScoreModel, model_score_fn
+
+    qam = build_square_qam(64)
+    config = default_config()
+    sched = config.schedule
+    net = Mlp([3, 16, 16, 2], rng=stream_rng(15, 0))
+    scores = {"oracle": oracle_score_fn(qam), "learned": model_score_fn(MlpScoreModel(net=net))}
+    for name, fn in scores.items():
+        for level in range(1, sched.n_steps + 1):
+            rng = stream_rng(15, 1, level)
+            z0 = qam.points[rng.integers(0, 64, size=(4, 8))]
+            z = z0 + sched.sigma(level) * complex_noise(rng, z0.shape)
+            ours, ref = stream_rng(15, 2, level), stream_rng(15, 2, level)
+            np.testing.assert_array_equal(denoise_from_level(z, level, fn, config, ours),
+                                          _two_rule_chain(z, level, fn, sched, ref),
+                                          err_msg=f"{name} score, level {level}")
+            assert ours.bit_generator.state == ref.bit_generator.state
+        for snr in (-18.0, -4.0, 40.0):  # pc_sample starts at sigma_ch
+            z = qam.points[:32] + snr_to_sigma(snr) * complex_noise(stream_rng(15, 3), 32)
+            ours, ref = stream_rng(15, 4), stream_rng(15, 4)
+            np.testing.assert_array_equal(
+                pc_sample(z, snr, fn, config, ours),
+                _two_rule_chain(z, snr_to_step(snr, sched), fn, sched, ref,
+                                sigma_start=snr_to_sigma(snr)),
+                err_msg=f"{name} score, {snr} dB")
+            assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_denoise_from_level_validation_and_observer():
@@ -100,7 +164,7 @@ def test_denoise_from_level_validation_and_observer():
     seen = []
     denoise_from_level(z, 5, fn, config, stream_rng(0, 0),
                        observer=lambda lvl, sig, zz: seen.append((lvl, sig)))
-    # initial level, each completed level down to 1, and the final clean step
+    # the starting level, then each completed level down to sigma = 0
     assert [lvl for lvl, _ in seen] == [5, 4, 3, 2, 1, 0]
     assert seen[-1][1] == 0.0
 
@@ -109,7 +173,7 @@ def test_denoise_from_level_rejects_non_finite_output():
     config = default_config()
     z = np.ones((2, 8), dtype=complex)
     nan_score = lambda z, s: np.full_like(z, np.nan)
-    for level in (1, 5):  # the final step alone, and the full loop
+    for level in (1, 5):  # the step to sigma = 0 alone, and the full loop
         with pytest.raises(DivergenceError):
             denoise_from_level(z, level, nan_score, config, stream_rng(0, 0))
     with pytest.raises(DivergenceError):
@@ -123,7 +187,8 @@ def test_pc_sample_near_noiseless_passthrough():
     z0 = scheme.points[rng.integers(0, 2, size=100)]
     sigma_ch = snr_to_sigma(40.0)  # exactly sigma_min: level 1, no reverse steps
     z_tilde = z0 + sigma_ch * complex_noise(rng, 100)
-    # only the final clean step runs, and it snaps the output essentially onto z0
+    # only the noise-free step to sigma = 0 runs, and it snaps the output
+    # essentially onto z0
     out = pc_sample(z_tilde, 40.0, oracle_score_fn(scheme), config, stream_rng(5, 1))
     assert mse(out, z0) < sigma_ch**2
 
@@ -207,7 +272,7 @@ def test_pc_sample_deterministic():
 
 def test_score_evaluations_per_level():
     # the cost unit the traced sampler.score_evals_per_symbol reports: one
-    # score evaluation per level, k - 1 predictor steps plus the Tweedie step
+    # score evaluation per level, k predictor steps, the last one to sigma = 0
     scheme = build_square_qam(64)
     oracle = oracle_score_fn(scheme)
     evaluated = []

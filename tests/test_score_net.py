@@ -99,6 +99,11 @@ def test_forward_score_matches_reference_bit_for_bit():
     for sigma in (np.full(z.shape, 0.7), np.array([0.7])):
         with pytest.raises(ValueError, match="scalar"):
             forward_score(model, z, sigma)
+    # and a sigma that is not finite and positive raises, rather than ending a
+    # sampler chain in a DivergenceError
+    for sigma in (0.0, -0.7, np.nan, np.inf, np.float64(np.nan)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            forward_score(model, z, sigma)
 
 
 def test_dsm_loss_zero_residual_is_zero():
