@@ -59,27 +59,27 @@ def complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
 
 def snr_to_sigma(snr_db: float) -> float:
     """Channel noise std (total complex) for a given SNR in dB, at P = 1.
-    Raises ValueError for a NaN or infinite SNR, for one so high that the
-    noise std underflows to 0 (above about 3235 dB) and for one so low that
-    the noise variance overflows a float (below about -3083 dB)."""
+    Raises ValueError for a NaN or infinite SNR and for one beyond 3000 dB
+    either way, whose noise std would leave `check_sigma`'s range."""
     if not np.isfinite(snr_db):
         raise ValueError(f"SNR must be finite, got {snr_db} dB")
-    try:
-        sigma = float(np.sqrt(10.0 ** (-snr_db / 10.0)))
-    except OverflowError:
-        raise ValueError(f"SNR {snr_db} dB is too low: its noise variance overflows") from None
-    if sigma == 0.0:
-        raise ValueError(f"SNR {snr_db} dB is too high: its noise std underflows to 0")
-    return sigma
+    if abs(snr_db) > 3000.0:
+        side = "high" if snr_db > 0 else "low"
+        raise ValueError(f"SNR {snr_db} dB is too {side}: |SNR| must be at most 3000 dB")
+    return float(np.sqrt(10.0 ** (-snr_db / 10.0)))
 
 
 def check_sigma(sigma: float) -> None:
     """Raise ValueError unless the noise std sigma is finite and positive
-    (NaN is neither). Every function that takes a noise std checks it here.
-    It is not in `__all__`, whose functions perfbench's tracer wraps: the
-    oracle and the learned score call it once per score evaluation."""
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    (NaN is neither) and within [1e-150, 1e150]: sigma^2 and 1/sigma^2 then
+    stay within 1e+-300, so the oracle's and the floor's products of them
+    with squared distances stay finite. Every function that takes a noise
+    std checks it here. It is not in `__all__`, whose functions perfbench's
+    tracer wraps: the oracle and the learned score call it once per score
+    evaluation."""
+    if not 1e-150 <= sigma <= 1e150:
+        raise ValueError(f"sigma must be finite and positive, within [1e-150, 1e150], "
+                         f"got {sigma}")
 
 
 def awgn_transmit(z: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

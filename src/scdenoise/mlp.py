@@ -21,13 +21,16 @@ checks) and its one training loop, `fit`: Adam on the mean squared error, at
 beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, with only the learning rate set.
 `fit` trains a float32 copy of the net: one Adam pass per step updates its
 theta in place with the gradient vector, and the net's own theta receives
-the trained values when `fit` returns or raises. `fit` owns one
-`Workspace`, which every step's `forward` and `backward` reuse, and one
-`AdamState`, so a steady-state step allocates no whole-batch array; a call
-given no workspace allocates fresh arrays. Inference keeps its activations
-in a workspace of the net's own, so repeated calls at one batch size
-allocate only their result; a net is therefore not for inference from two
-threads at once.
+the trained values when `fit` returns or raises.
+Each net owns the arrays of its passes: `forward`'s activations, which
+`backward` reads, `backward`'s deltas and tanh derivatives, and inference's
+block activations. A pass reuses an array while the batch size is
+unchanged, so a steady-state `fit` step reuses all of them, and its one new
+array of theta's size is the gradient vector that `backward` returns;
+repeated inference at one batch size allocates only its result. `fit`'s
+passes run on its float32 copy, which it drops on return, so the caller's
+net holds no training arrays. A net is not for use from two threads at
+once.
 `check_training` is the one check of a trainer's steps, batch size and rate.
 """
 
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import DivergenceError
 
-__all__ = ["Mlp", "Workspace", "AdamState", "adam_step", "squared_error", "fit",
+__all__ = ["Mlp", "AdamState", "adam_step", "squared_error", "fit",
            "check_training", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_VERSION = 1
@@ -54,35 +57,10 @@ CHECKPOINT_VERSION = 1
 BLOCK_BYTES = 1 << 18
 
 
-class Workspace:
-    """The arrays of one forward and backward pass, kept by the caller.
-
-    `Mlp.forward` stores the feature-major layer inputs and outputs in
-    `acts` (acts[0] is the input, acts[l + 1] layer l's output; every one
-    but the net's output has a last row of ones) and `Mlp.backward` adds the
-    tanh derivatives, the deltas and the gradient vector. A call reuses an
-    array only when it has the shape the call needs (same net, same batch
-    size, same dtype) and otherwise puts a new one in its place. Every net
-    also keeps one for its inference blocks.
-    """
-
-    def __init__(self):
-        self.acts: list[np.ndarray] = []
-        self._arrays: dict = {}
-
-    def array(self, key, shape, dtype) -> np.ndarray:
-        """The array kept under `key`, replaced by a new one unless it has
-        `shape` and `dtype`."""
-        a = self._arrays.get(key)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[key] = np.empty(shape, dtype)
-        return a
-
-
 class Mlp:
     """Tanh MLP. Its parameters are the 1-D vector self.theta, and layer l
     is self.layers[l], the (n_in + 1, n_out) view of theta that holds its
-    weights over its bias row."""
+    weights over its bias row. The arrays of its passes are its own."""
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         if len(layer_sizes) < 2:
@@ -106,7 +84,15 @@ class Mlp:
         """Make the 1-D `theta` the net's parameters and `layers` its views."""
         self.theta = theta
         self.layers = self._split(theta)
-        self._scratch = Workspace()
+        self._arrays: dict = {}
+
+    def _array(self, key, shape) -> np.ndarray:
+        """The pass array kept under `key`, in theta's dtype, replaced by a
+        new one unless it has `shape`."""
+        a = self._arrays.get(key)
+        if a is None or a.shape != shape:
+            a = self._arrays[key] = np.empty(shape, self.theta.dtype)
+        return a
 
     def _split(self, vector: np.ndarray) -> list[np.ndarray]:
         """The layer matrices of a 1-D vector laid out like theta, as views."""
@@ -150,26 +136,22 @@ class Mlp:
             np.tanh(z, out=z)
         return np.matmul(last.T, acts[-2], out=acts[-1])
 
-    def forward(self, x: np.ndarray, cache: Workspace | None = None):
-        """Returns (output, cache). x has shape (batch, n_in).
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The (batch, n_out) output for x of shape (batch, n_in).
 
-        x is cast to the parameters' dtype, and the output and the cached
-        activations are in it; the output is a (batch, n_out) view of the
-        workspace's feature-major output. Without `cache` the call allocates
-        a new Workspace. Given one, such as `fit`'s, it writes into its
-        arrays wherever the batch size is unchanged, overwriting the previous
-        call's activations and output. x itself is copied into the
-        workspace's feature-major input, which backward reads.
+        x is cast to the parameters' dtype, and the output and the
+        activations are in it; the output is a view of the net's
+        feature-major output array. The activations, x's copy among them,
+        stay in the net's arrays for `backward`. The next `forward` of the
+        same batch size writes into the same arrays, overwriting this call's
+        activations and output.
         """
         x = np.atleast_2d(x)
-        cache = Workspace() if cache is None else cache
-        dtype = self.theta.dtype
-        cache.acts = [cache.array(("act", l), shape, dtype)
-                      for l, shape in enumerate(self._shapes(x, len(x)))]
-        return self._layers(x, cache.acts).T, cache
+        acts = [self._array(("act", l), shape) for l, shape in enumerate(self._shapes(x, len(x)))]
+        return self._layers(x, acts).T
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Inference: the output of `forward` without keeping its cache.
+        """Inference: the output of `forward`, as a new float64 array.
 
         x is cast to the parameters' dtype and every layer computes in it;
         the output is float64 either way. With float64 parameters that is
@@ -177,10 +159,10 @@ class Mlp:
         activations, `cols` columns each (BLOCK_BYTES over the bytes of the
         widest layer's column, its width + 1 values), the last block taking
         the remainder, between cols/2 and 3*cols/2 columns. Each block's
-        output goes straight into the float64 result, a new array. The
-        activations are arrays of the net's own workspace, one set for the
-        full blocks and one for the last, which the next call of the same
-        batch size writes into again. Starting every block on a multiple of
+        output goes straight into the float64 result. The activations are
+        arrays of the net's own, apart from `forward`'s: one set for the full
+        blocks and one for the last, which the next call of the same batch
+        size writes into again. Starting every block on a multiple of
         `cols` and never leaving a one-column tail (which numpy hands to gemv
         rather than gemm) keeps the output bit-identical to one unblocked
         pass, `forward`'s for float64, on the project's networks for batches
@@ -194,43 +176,42 @@ class Mlp:
         for k in range(blocks):
             last = k == blocks - 1
             a, b = k * cols, rows if last else (k + 1) * cols
-            acts = [self._scratch.array((last, l), shape, dtype)
+            acts = [self._array(("block", last, l), shape)
                     for l, shape in enumerate(self._shapes(x, b - a))]
             out[a:b].T[...] = self._layers(x[a:b], acts)
         return out
 
-    def backward(self, cache: Workspace, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate d(loss)/d(output) through the forward pass in `cache`.
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Backpropagate d(loss)/d(output) through the last `forward`.
 
-        Returns the gradient with respect to theta: one vector laid out like
-        theta and in its dtype, to which grad_out is cast; the gradient with
-        respect to the input is not computed. Layer l's gradient is one
+        Returns the gradient with respect to theta: a new vector laid out
+        like theta and in its dtype, to which grad_out is cast; the gradient
+        with respect to the input is not computed. Layer l's gradient is one
         matrix product of the feature-major layer input (whose row of ones
         gives the bias gradient) with the delta, written into the layer's
-        view of the vector. The vector, the deltas and the tanh derivatives
-        are arrays of `cache`, so the next backward through the same
-        workspace overwrites the gradient returned here. grad_out is read,
+        view of the vector. The deltas and the tanh derivatives are the
+        net's arrays, which the next backward overwrites; the vector is not,
+        so a gradient stays valid across later passes. grad_out is read,
         never written.
         """
-        acts = cache.acts
+        acts = [self._arrays["act", l] for l in range(len(self.layer_sizes))]
         n_layers = len(self.layers)
-        dtype = self.theta.dtype
-        grad = cache.array("grad", self.theta.shape, dtype)
+        grad = np.empty_like(self.theta)
         grads = self._split(grad)
-        delta = np.atleast_2d(np.asarray(grad_out, dtype=dtype)).T
+        delta = np.atleast_2d(np.asarray(grad_out, dtype=grad.dtype)).T
         for l in range(n_layers - 1, -1, -1):
             if l < n_layers - 1:
                 # undo the tanh: acts[l+1] holds the post-activation values
-                # above its row of ones, and delta is the workspace's own
-                # array, so it is scaled in place
+                # above its row of ones, and delta is the net's own array,
+                # so it is scaled in place
                 h = acts[l + 1][:-1]
-                deriv = np.square(h, out=cache.array(("deriv", l), h.shape, dtype))
+                deriv = np.square(h, out=self._array(("deriv", l), h.shape))
                 np.subtract(1.0, deriv, out=deriv)
                 delta *= deriv
             np.matmul(acts[l], delta.T, out=grads[l])
             if l > 0:
                 w = self.layers[l][:-1]
-                out = cache.array(("delta", l), (w.shape[0], delta.shape[1]), dtype)
+                out = self._array(("delta", l), (w.shape[0], delta.shape[1]))
                 delta = np.matmul(w, delta, out=out)
         return grad
 
@@ -269,21 +250,16 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     theta -= mhat
 
 
-def squared_error(net: Mlp, x: np.ndarray, target: np.ndarray,
-                  cache: Workspace | None = None):
+def squared_error(net: Mlp, x: np.ndarray, target: np.ndarray):
     """The mean over rows of |net(x) - target|^2 and its gradient with
-    respect to net.theta, the vector of `backward`, which with `cache` is
-    that workspace's array.
+    respect to net.theta, the new vector of `backward`.
     The net's output is in its parameters' dtype, and the residual and the
     loss are in the wider of that and target's dtype; the gradient of the
     loss with respect to the output, (2/n) * residual, is computed in the
-    residual's dtype and stored in a workspace array of the output's."""
-    out, cache = net.forward(x, cache)
-    resid = out - target
+    residual's dtype, and `backward` casts it to the output's."""
+    resid = net.forward(x) - target
     loss = float(np.mean(np.sum(resid**2, axis=-1)))
-    grad_out = np.multiply(2.0 / len(resid), resid,
-                           out=cache.array("grad_out", resid.shape, out.dtype))
-    return loss, net.backward(cache, grad_out)
+    return loss, net.backward((2.0 / len(resid)) * resid)
 
 
 def fit(net: Mlp, steps: int, batch, lr) -> np.ndarray:
@@ -293,21 +269,21 @@ def fit(net: Mlp, steps: int, batch, lr) -> np.ndarray:
     Training runs on a float32 copy of the net; the loss is float64, against
     the float64 target. Each step's gradient vector updates the copy's
     theta in place by one `adam_step`, so every step's arithmetic and every
-    update is float32. When fit returns or raises, net.theta receives the
-    trained float32 values in place, so net keeps its float64 vector. A
+    update is float32. The passes run in the copy's own arrays, which go
+    with it when fit returns. When fit returns or raises, net.theta receives
+    the trained float32 values in place, so net keeps its float64 vector. A
     non-finite loss raises DivergenceError before its Adam step, leaving the
     parameters of the steps before it, and so do non-finite parameters after
     the last step. Overflow and invalid values in the steps raise no numpy
     warning: DivergenceError is the one report of them.
     """
-    cache = Workspace()
     losses = np.empty(steps)
     with np.errstate(over="ignore", invalid="ignore"):
         net32 = net.astype(np.float32)
         state = AdamState(net32.theta)
         try:
             for k in range(steps):
-                losses[k], grad = squared_error(net32, *batch(k), cache)
+                losses[k], grad = squared_error(net32, *batch(k))
                 if not np.isfinite(losses[k]):
                     raise DivergenceError(f"non-finite loss at step {k}")
                 adam_step(net32.theta, grad, state, float(lr(k)))
@@ -328,11 +304,14 @@ def check_training(steps: int, batch_size: int, learning_rate: float) -> None:
 
 
 def save_checkpoint(path: str, net: Mlp, key: str, kind: str) -> None:
-    """Write `net` and its kind marker key=kind (e.g. head="mean") to an .npz file."""
+    """Write `net` and its kind marker key=kind (e.g. head="mean") as an .npz
+    archive to exactly `path`: through an open file, as `load_checkpoint`
+    reads it, since np.savez adds ".npz" to a path that lacks it."""
     arrays = {f"w{i}": a[:-1] for i, a in enumerate(net.layers)}
     arrays.update({f"b{i}": a[-1] for i, a in enumerate(net.layers)})
-    np.savez(path, version=CHECKPOINT_VERSION, **{key: kind},
-             layer_sizes=np.array(net.layer_sizes), **arrays)
+    with open(path, "wb") as file:
+        np.savez(file, version=CHECKPOINT_VERSION, **{key: kind},
+                 layer_sizes=np.array(net.layer_sizes), **arrays)
 
 
 def load_checkpoint(path: str, key: str, kind: str) -> Mlp:

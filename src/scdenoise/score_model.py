@@ -98,7 +98,7 @@ def _features(z: np.ndarray, log_sigma) -> tuple[np.ndarray, np.ndarray]:
 def forward_score(model: MlpScoreModel, z: np.ndarray, sigma: float) -> np.ndarray:
     """Evaluate the learned score at (z, sigma) for one scalar sigma, as the
     sampler calls it; shape-preserving over z. A non-scalar sigma, and one
-    that is not finite and positive, raise ValueError."""
+    that fails `channel.check_sigma`, raise ValueError."""
     if np.ndim(sigma) != 0:
         raise ValueError(f"sigma must be a scalar, got shape {np.shape(sigma)}")
     check_sigma(sigma)

@@ -25,10 +25,13 @@ def test_snr_to_sigma_values():
     assert snr_to_sigma(0.0) == pytest.approx(1.0)
     assert snr_to_sigma(-18.0) == pytest.approx(7.943282347242816, rel=1e-12)
     assert snr_to_sigma(18.0) == pytest.approx(0.12589254117941673, rel=1e-12)
-    # the noise variance 10^(-SNR/10) overflows a float below about -3083 dB
-    assert snr_to_sigma(-3080.0) == pytest.approx(1e154, rel=1e-12)
-    with pytest.raises(ValueError, match="SNR -3090.0 dB is too low"):
-        snr_to_sigma(-3090.0)
+    # |SNR| up to 3000 dB maps into check_sigma's range [1e-150, 1e150]
+    assert snr_to_sigma(3000.0) == pytest.approx(1e-150, rel=1e-12)
+    assert snr_to_sigma(-3000.0) == pytest.approx(1e150, rel=1e-12)
+    with pytest.raises(ValueError, match="SNR -3001.0 dB is too low"):
+        snr_to_sigma(-3001.0)
+    with pytest.raises(ValueError, match="SNR 3001.0 dB is too high"):
+        snr_to_sigma(3001.0)
 
 
 def test_awgn_zero_sigma_identity():
@@ -52,7 +55,7 @@ def test_awgn_noise_statistics():
     # sigma = 0 is the noiseless channel; any other sigma must be finite and
     # positive, and the generator is left untouched when it is refused
     state = rng.bit_generator.state
-    for bad in (-1.0, np.nan, np.inf, -np.inf):
+    for bad in (-1.0, np.nan, np.inf, -np.inf, 1e-151, 1e151):
         with pytest.raises(ValueError, match="finite and positive"):
             awgn_transmit(z0, bad, rng)
     assert rng.bit_generator.state == state

@@ -154,19 +154,19 @@ def test_joint_train_decreases_loss_and_is_deterministic():
 
 @pytest.mark.parametrize("denoise", [False, True])
 def test_joint_train_matches_fresh_array_loop(denoise):
-    # one Adam pass per step over the float32 copy's theta, through one
-    # workspace, changes no bit of the trace or of the trained float64
-    # decoder, with and without the sampler in the loop
+    # one Adam pass per step over the float32 copy's theta, with the passes
+    # in that copy's own arrays, changes no bit of the trace or of the
+    # trained float64 decoder, with and without the sampler in the loop
     scheme, sched, enc = small_setup(64)
     sampler_cfg = SamplerConfig(schedule=sched)
     cfg = JointTrainConfig(steps=20, batch_size=64, learning_rate=2e-3)
     fn = oracle_score_fn(scheme) if denoise else None
     dec, trace = joint_train(enc, DecoderModel.build(4, 8, rng=stream_rng(13, 0)), fn,
                              sampler_cfg, sched, cfg, stream_rng(13, 1))
-    # the same loop with fresh arrays: one float32 copy of the net, whose
-    # forward and backward allocate their own arrays, Adam with one state per
-    # layer matrix, and the trained values cast back into the float64 net at
-    # the end
+    # the same loop with fresh arrays: one float32 copy of the net, each
+    # step's forward and backward on a new copy of it, whose arrays are new,
+    # Adam with one state per layer matrix, and the trained values cast back
+    # into the float64 net at the end
     ref = DecoderModel.build(4, 8, rng=stream_rng(13, 0))
     net32 = ref.net.astype(np.float32)
     rng = stream_rng(13, 1)
@@ -179,9 +179,10 @@ def test_joint_train_matches_fresh_array_loop(denoise):
         z = forward_diffuse(encode(x, enc), level, sched, rng)
         if denoise:
             z = denoise_from_level(z, level, fn, sampler_cfg, rng)
-        out, cache = net32.forward(z.view(np.float64))
+        fresh = net32.astype(np.float32)
+        out = fresh.forward(z.view(np.float64))
         resid = out - x
-        grad = net32.backward(cache, (2.0 / cfg.batch_size) * resid)
+        grad = fresh.backward((2.0 / cfg.batch_size) * resid)
         for a, g, state in zip(net32.layers, np.split(grad, ends), states):
             adam_step(a, g.reshape(a.shape), state, lr=cfg.learning_rate)
         ref_trace.append((np.mean(np.sum(resid**2, axis=-1)), level))

@@ -306,6 +306,22 @@ def test_cli_train_score_matches_library(tmp_path):
     assert trace_path.read_bytes() == ref_path.read_bytes()
 
 
+def test_cli_checkpoints_go_to_the_printed_path(tmp_path, capsys):
+    # np.savez adds ".npz" to a path without it; a checkpoint goes to exactly
+    # the --out path that the command prints, where eval and joint-train
+    # read it
+    ckpt, dec = tmp_path / "model", tmp_path / "decoder"
+    assert main(["train-score", "--order", "4", "--steps", "20", "--hidden", "8",
+                 "--out", str(ckpt)]) == 0
+    assert capsys.readouterr().out.endswith(f"checkpoint {ckpt}\n")
+    assert main(["eval", "--order", "4", "--checkpoint", str(ckpt)]) == 0
+    assert main(["joint-train", "--order", "4", "--steps", "3", "--checkpoint", str(ckpt),
+                 "--out", str(dec)]) == 0
+    assert capsys.readouterr().out.endswith(f"checkpoint {dec}\n")
+    assert load_decoder(str(dec)).source_dim == 16  # the default --source-dim
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["decoder", "model"]
+
+
 def test_cli_hidden_widths_parse_as_a_config_list(tmp_path, capsys):
     # --hidden is parsed as ExperimentConfig's tuple fields are: a trailing
     # comma is dropped, an empty value keeps DsmConfig's default, and a bad
@@ -454,14 +470,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert main([*cmd, "--out", str(tmp_path / "zero.npz")]) == 2
         assert not (tmp_path / "zero.npz").exists()
     # a non-finite SNR is refused by name, not mapped to a level or a sigma;
-    # so is an SNR so high that its noise std underflows to 0, and one so low
-    # that its noise variance overflows a float
+    # so is one beyond 3000 dB either way, whose noise std would leave
+    # check_sigma's range and write inf or NaN rows
     out = tmp_path / "bad_snr.csv"
     for snr, message in (("nan", "SNR must be finite, got nan dB"),
                          ("inf", "SNR must be finite, got inf dB"),
                          ("-inf", "SNR must be finite, got -inf dB"),
                          ("7000", "SNR 7000.0 dB is too high"),
-                         ("-7000", "SNR -7000.0 dB is too low")):
+                         ("-7000", "SNR -7000.0 dB is too low"),
+                         ("0,3001", "SNR 3001.0 dB is too high"),
+                         ("-3001", "SNR -3001.0 dB is too low")):
         cfg = write_cfg(tmp_path, f"snr_grid={snr}\n")
         capsys.readouterr()
         assert main(["sweep", "--order", "4", "--config", str(cfg), "--out", str(out)]) == 2

@@ -5,8 +5,8 @@ import pytest
 
 from scdenoise import mlp
 from scdenoise.errors import DivergenceError
-from scdenoise.mlp import (BLOCK_BYTES, AdamState, Mlp, Workspace, adam_step, fit,
-                           load_checkpoint, save_checkpoint, squared_error)
+from scdenoise.mlp import (BLOCK_BYTES, AdamState, Mlp, adam_step, fit, load_checkpoint,
+                           save_checkpoint, squared_error)
 
 
 def numerical_grad(f, theta, h=1e-6):
@@ -42,14 +42,14 @@ def test_forward_deterministic():
 
 @pytest.mark.parametrize("sizes", [[4, 3], [4, 16, 8, 3]])
 def test_call_matches_forward_output(sizes):
-    # inference keeps no activation cache but does forward's arithmetic
+    # inference keeps forward's activations untouched but does its arithmetic
     rng = np.random.default_rng(4)
     net = Mlp(sizes, rng=rng)
     x = rng.standard_normal((9, 4))
     x_before = x.copy()
-    np.testing.assert_array_equal(net(x), net.forward(x)[0])
+    np.testing.assert_array_equal(net(x), net.forward(x))
     assert net(x[0]).shape == (1, 3)  # a 1-D input is one row
-    np.testing.assert_array_equal(net(x[0]), net.forward(x[0])[0])
+    np.testing.assert_array_equal(net(x[0]), net.forward(x[0]))
     # every call returns its own array, and the input is left as it was
     a, b = net(x), net(x)
     assert not np.shares_memory(a, b)
@@ -68,7 +68,7 @@ def test_blocked_call_matches_forward_output(n):
     x = rng.standard_normal((n, 3))
     got = net(x)
     assert got.shape == (n, 2) and got.flags.c_contiguous
-    np.testing.assert_array_equal(got, net.forward(x)[0])
+    np.testing.assert_array_equal(got, net.forward(x))
 
 
 def _one_block(net, x):
@@ -177,24 +177,26 @@ def test_backward_matches_finite_differences():
         out = net(x)
         return 0.5 * np.sum((out - target) ** 2)
 
-    out, cache = net.forward(x)
-    grad = net.backward(cache, out - target)
+    out = net.forward(x)
+    grad = net.backward(out - target)
     expected = numerical_grad(loss, net.theta)
     np.testing.assert_allclose(grad, expected, rtol=1e-6, atol=1e-8)
 
 
-def _step(net, x, target, cache=None):
-    """One forward and backward pass; returns (output, gradient, cache)."""
-    out, cache = net.forward(x, cache)
-    return out, net.backward(cache, out - target), cache
+def _step(net, x, target):
+    """One forward and backward pass in the net's own arrays; returns
+    (output, gradient)."""
+    out = net.forward(x)
+    return out, net.backward(out - target)
 
 
 @pytest.mark.parametrize("sizes", [[3, 5], [3, 16, 2], [3, 128, 128, 2]])
 def test_reused_workspace_matches_fresh_arrays(sizes):
-    # two steps on different inputs through one workspace: the second writes
-    # into the first one's arrays, and neither changes a bit of its output or
-    # gradient against fresh-array calls; for the net and its float32 copy,
-    # all of them are in the parameters' dtype, though the inputs are float64
+    # two steps on different inputs through one net: the second writes into
+    # the pass arrays of the first, and neither changes a bit of its output
+    # or gradient against a fresh copy of the net, whose arrays are new; for
+    # the net and its float32 copy, all of them are in the parameters' dtype,
+    # though the inputs are float64
     rng = np.random.default_rng(6)
     net64 = Mlp(sizes, rng=rng)
     x1, x2 = rng.standard_normal((2, 256, 3))
@@ -202,23 +204,25 @@ def test_reused_workspace_matches_fresh_arrays(sizes):
     for dtype in (np.float64, np.float32):
         net = net64.astype(dtype)
         results = []
-        cache = Workspace()
         for x, t in ((x1, t1), (x2, t2)):
-            out, grad, cache_out = _step(net, x, t, cache)
-            assert cache_out is cache
-            assert all(a.dtype == dtype for a in [out, grad, *cache.acts])
-            ref_out, ref_grad, _ = _step(net, x, t)
+            out, grad = _step(net, x, t)
+            assert all(a.dtype == dtype for a in [out, grad, *net._arrays.values()])
+            ref_out, ref_grad = _step(net.astype(dtype), x, t)
             np.testing.assert_array_equal(out, ref_out)
             np.testing.assert_array_equal(grad, ref_grad)
-            results.append((out, grad, list(cache.acts)))
-        (out1, grad1, acts1), (out2, grad2, acts2) = results
+            results.append((out, grad, ref_grad, dict(net._arrays)))
+        (out1, grad1, ref_grad1, arrays1), (out2, grad2, _, arrays2) = results
         assert np.shares_memory(out1, out2)
-        for a, b in zip(acts1[1:] + [grad1], acts2[1:] + [grad2]):  # all but the input
-            assert np.shares_memory(a, b)
+        assert arrays1.keys() == arrays2.keys()
+        assert all(arrays1[key] is arrays2[key] for key in arrays1)
+        # each backward returns a new gradient, which later passes leave as
+        # it was
+        assert not np.shares_memory(grad1, grad2)
+        np.testing.assert_array_equal(grad1, ref_grad1)
         # backward reads grad_out without writing it
         grad_out = out2 - t1
         grad_before = grad_out.copy()
-        net.backward(cache, grad_out)
+        net.backward(grad_out)
         np.testing.assert_array_equal(grad_out, grad_before)
 
 
@@ -226,25 +230,17 @@ def test_workspace_of_another_batch_shape_is_not_reused():
     rng = np.random.default_rng(7)
     net = Mlp([3, 8, 8, 2], rng=rng)
     x, t = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
-    _, grad, cache = _step(net, x, t, Workspace())
-    acts = list(cache.acts)
-    # fewer rows: new activation arrays, exactly the fresh-array result
-    out_small, grad_small, cache = _step(net, x[:7], t[:7], cache)
-    ref_out, ref_grad, _ = _step(net, x[:7], t[:7])
+    _step(net, x, t)
+    arrays = dict(net._arrays)
+    # fewer rows: new pass arrays, exactly the result of a fresh copy
+    out_small, grad_small = _step(net, x[:7], t[:7])
+    ref_out, ref_grad = _step(net.astype(np.float64), x[:7], t[:7])
     np.testing.assert_array_equal(out_small, ref_out)
     np.testing.assert_array_equal(grad_small, ref_grad)
-    for a, b in zip(cache.acts[1:], acts[1:]):
+    assert net._arrays.keys() == arrays.keys()
+    for key, a in arrays.items():
+        b = net._arrays[key]
         assert a.shape != b.shape and not np.shares_memory(a, b)
-    # the gradient's shape does not depend on the batch, so it stays in place
-    assert grad_small is grad
-    # a net of other widths gets arrays of its own shapes, and a float32
-    # copy of the first net arrays of its own dtype
-    for other in (Mlp([3, 4, 2], rng=rng), net.astype(np.float32)):
-        out_other, grad_other, _ = _step(other, x, t, cache)
-        ref_out, ref_grad, _ = _step(other, x, t)
-        np.testing.assert_array_equal(out_other, ref_out)
-        np.testing.assert_array_equal(grad_other, ref_grad)
-        assert not np.shares_memory(grad_other, grad)
 
 
 def _adam_reference(p, g, m, v, t, lr):
@@ -444,13 +440,15 @@ def test_fit_step_gradients_within_float32_rounding(monkeypatch):
 def test_fit_keeps_float64_parameter_arrays(tmp_path):
     # fit trains float32 parameters and writes them into the caller's theta:
     # after fit the net has the same float64 vector, every layer of it
-    # trained, every value of it a float32 value, and its checkpoint holds it
+    # trained, every value of it a float32 value, and its checkpoint holds
+    # it; the passes ran in the float32 copy's arrays, so the net holds none
     data = _batches(np.random.default_rng(16), 5)
     net = Mlp([3, 8, 8, 2], rng=np.random.default_rng(17))
     theta = net.theta
     before = [a.copy() for a in net.layers]
     fit(net, 5, data.__getitem__, lambda step: 1e-2)
     assert net.theta is theta and theta.dtype == np.float64
+    assert net._arrays == {}
     assert all(not np.array_equal(a, b) for a, b in zip(net.layers, before))
     np.testing.assert_array_equal(theta.astype(np.float32).astype(np.float64), theta)
     path = tmp_path / "trained.npz"

@@ -96,14 +96,17 @@ def test_log_density_far_field_stable():
 
 
 def test_sigma_validation():
-    # a sigma that is not finite and positive is refused, not turned into
-    # NaN values or a numpy warning
+    # a sigma that is not finite and positive, or outside [1e-150, 1e150],
+    # is refused, not turned into NaN values or a numpy warning; the ends of
+    # that range give finite values
     scheme = build_bpsk()
     z = np.array([0.1 + 0.1j])
     for fn in (log_density, mixture_score, posterior_mean):
-        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf, 1e-151, 1e151):
             with pytest.raises(ValueError, match="finite and positive"):
                 fn(z, bad, scheme)
+        for sigma in (1e-150, 1e150):
+            assert np.all(np.isfinite(fn(z, sigma, build_square_qam(64))))
 
 
 def test_posterior_mean_within_levels():
@@ -186,9 +189,12 @@ def test_mmse_bound_limits():
         linear = sum(v * half / (v + half) for v in (np.mean(scheme.points.real**2),
                                                      np.mean(scheme.points.imag**2)))
         assert abs(mmse_bound(sigma, scheme) - linear) <= 1e-9
-        for bad in (0.0, -1.0, np.nan, np.inf):
+        for bad in (0.0, -1.0, np.nan, np.inf, 1e-151, 1e151):
             with pytest.raises(ValueError, match="finite and positive"):
                 mmse_bound(bad, scheme)
+        # the ends of check_sigma's range: no 0 * inf in the weights
+        assert mmse_bound(1e-150, scheme) == 0.0
+        assert np.isfinite(mmse_bound(1e150, scheme))
 
 
 def test_mmse_bound_bpsk_pinned_value():

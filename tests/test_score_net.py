@@ -69,7 +69,7 @@ def _reference_score(model, z, sigma):
     sig = np.float64(sigma)
     log_sig = np.broadcast_to(np.log(sig), z.shape)
     scale = 2.0 / sig**2
-    d, _ = model.net.forward(np.stack([z.real, z.imag, log_sig], axis=-1))
+    d = model.net.forward(np.stack([z.real, z.imag, log_sig], axis=-1))
     ref = np.empty(z.shape, dtype=np.complex128)
     ref.real = scale * (d[:, 0] - z.real)
     ref.imag = scale * (d[:, 1] - z.imag)
@@ -211,9 +211,9 @@ def test_train_deterministic():
 
 def _train_score_fresh(scheme, config):
     """train_score's loop with fresh arrays on every step: one float32 copy
-    of the net, whose forward and backward allocate their own arrays, Adam
-    with one state per layer matrix at a float learning rate, and the
-    trained values cast back into the float64 net at the end."""
+    of the net, each step's forward and backward on a new copy of it, whose
+    arrays are new, Adam with one state per layer matrix at a float learning
+    rate, and the trained values cast back into the float64 net at the end."""
     rng = stream_rng(config.seed, 0)
     net = Mlp([3, *config.hidden, 2], rng=rng)
     net32 = net.astype(np.float32)
@@ -222,7 +222,8 @@ def _train_score_fresh(scheme, config):
     trace = []
     for step in range(config.steps):
         z0 = scheme.points[rng.integers(0, scheme.order, size=config.batch_size)]
-        loss, grad = dsm_loss(MlpScoreModel(net=net32), z0, config.schedule, rng)
+        loss, grad = dsm_loss(MlpScoreModel(net=net32.astype(np.float32)), z0,
+                              config.schedule, rng)
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / config.steps))
         for a, g, state in zip(net32.layers, np.split(grad, ends), states):
             adam_step(a, g.reshape(a.shape), state, lr=float(max(lr, config.learning_rate * 0.01)))
@@ -235,7 +236,7 @@ def _train_score_fresh(scheme, config):
 @pytest.mark.parametrize("hidden", [(8,), (128, 128)])
 def test_train_score_matches_fresh_array_loop(hidden):
     # training updates the float32 copy's theta by one Adam pass over the
-    # gradient vector, through one workspace; none of that changes a bit of
+    # gradient vector, in the copy's own arrays; none of that changes a bit of
     # the loss trace or of the trained float64 parameters against per-layer
     # Adam on a float32 copy of the net
     cfg = DsmConfig(schedule=build_schedule(0.01, 10.0, 64), hidden=hidden, steps=20,
